@@ -6,8 +6,8 @@
 //
 // --backend is any rtd::index::IndexKind name (auto, bvhrt, pointbvh, grid,
 // densebox, brute); --width picks the BVH traversal layout (auto, binary,
-// wide, quantized); --trace drains the run's telemetry spans into a Chrome
-// trace-event JSON file (needs a build with -DRTDBSCAN_TELEMETRY=ON).
+// wide); --trace drains the run's telemetry spans into a Chrome trace-event
+// JSON file (needs a build with -DRTDBSCAN_TELEMETRY=ON).
 // Demonstrates rtd::Clusterer — the session is built once, the first run()
 // pays the index build, and the second run() at a new min_pts reuses the
 // cached neighbor counts (phase 1 skipped).  This file is the README's

@@ -61,6 +61,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -431,26 +432,30 @@ def check_headers_self_contained(repo: Path, cxx: str | None) -> list[Violation]
         return [Violation(
             "header-self-contained", "src", 0,
             "no C++ compiler found (tried --cxx, $CXX, c++, g++, clang++)")]
-    violations = []
-    with tempfile.TemporaryDirectory(prefix="rtd_lint_") as tmp:
-        tu = Path(tmp) / "lint_tu.cpp"
-        for header in headers:
-            rel = header.relative_to(src).as_posix()
-            tu.write_text(f'#include "{rel}"\n')
-            proc = subprocess.run(
-                [compiler, "-std=c++20", "-fsyntax-only", "-fopenmp",
-                 "-I", str(src), str(tu)],
-                capture_output=True, text=True)
-            if proc.returncode != 0:
-                first_error = next(
-                    (l for l in proc.stderr.splitlines() if "error" in l),
-                    proc.stderr.strip().splitlines()[0] if proc.stderr.strip()
-                    else "compiler failed")
-                violations.append(Violation(
-                    "header-self-contained", str(header.relative_to(repo)), 1,
-                    "header does not compile standalone "
-                    f"(generated TU, {compiler} -fsyntax-only): {first_error}"))
-    return violations
+
+    def probe(tu: Path, header: Path) -> Violation | None:
+        tu.write_text(f'#include "{header.relative_to(src).as_posix()}"\n')
+        proc = subprocess.run(
+            [compiler, "-std=c++20", "-fsyntax-only", "-fopenmp",
+             "-I", str(src), str(tu)],
+            capture_output=True, text=True)
+        if proc.returncode == 0:
+            return None
+        first_error = next(
+            (l for l in proc.stderr.splitlines() if "error" in l),
+            proc.stderr.strip().splitlines()[0] if proc.stderr.strip()
+            else "compiler failed")
+        return Violation(
+            "header-self-contained", str(header.relative_to(repo)), 1,
+            "header does not compile standalone "
+            f"(generated TU, {compiler} -fsyntax-only): {first_error}")
+
+    # The compiles are independent, so run one per core; map() keeps the
+    # sorted header order, so the report is deterministic.
+    with tempfile.TemporaryDirectory(prefix="rtd_lint_") as tmp, \
+            ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        tus = [Path(tmp) / f"lint_tu_{i}.cpp" for i in range(len(headers))]
+        return [v for v in pool.map(probe, tus, headers) if v is not None]
 
 
 # --- rule: stale-suppression --------------------------------------------------

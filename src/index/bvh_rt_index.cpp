@@ -98,7 +98,7 @@ void BvhRtIndex::query_box(const geom::Aabb& box, NeighborVisitor visit,
   // surfaces a superset; the exact point-in-box filter runs here.
   const auto& centers = accel_.centers();
   rt::traverse_overlap(
-      accel_.bvh(), accel_.wide_bvh(), accel_.quantized_bvh(), box,
+      accel_.bvh(), accel_.wide_bvh(), box,
       [&](std::uint32_t prim) {
         ++stats.isect_calls;
         if (!is_dead(prim) && box.contains(centers[prim])) visit(prim);

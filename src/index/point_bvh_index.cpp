@@ -15,7 +15,7 @@ PointBvhIndex::PointBvhIndex(std::span<const geom::Vec3> points, float eps,
     bounds[i] = geom::Aabb::of_point(points_[i]);
   });
   bvh_ = rt::build_bvh(bounds, build);
-  rt::derive_wide_layouts(bvh_, build, points.size(), wide_, quantized_);
+  rt::derive_wide_layouts(bvh_, build, points.size(), wide_);
 }
 
 bool PointBvhIndex::do_try_remove(std::span<const std::uint32_t> ids) {
@@ -30,17 +30,15 @@ bool PointBvhIndex::do_try_remove(std::span<const std::uint32_t> ids) {
     });
     bvh_.refit(bounds, dead_mask());
     if (!wide_.empty()) wide_.refit_from(bvh_);
-    if (!quantized_.empty()) quantized_.refit_from(bvh_);
     removed_since_refit_ = 0;
   }
   return true;
 }
 
-// Queries dispatch through rt::traverse_overlap(bvh, wide, quantized, ...):
-// the wide or quantized SoA kernel when a collapse ran, the binary node
-// walk otherwise.  The wide walks surface a conservative candidate
-// superset; the exact distance filter in every caller makes results
-// identical (test-enforced).
+// Queries dispatch through rt::traverse_overlap(bvh, wide, ...): the wide
+// SoA kernel when a collapse ran, the binary node walk otherwise.  The wide
+// walk surfaces a conservative candidate superset; the exact distance
+// filter in every caller makes results identical (test-enforced).
 
 void PointBvhIndex::query_sphere(const geom::Vec3& center, float eps,
                                  std::uint32_t self, NeighborVisitor visit,
@@ -48,7 +46,7 @@ void PointBvhIndex::query_sphere(const geom::Vec3& center, float eps,
   const geom::Aabb query = geom::Aabb::of_sphere(center, eps);
   const float eps2 = eps * eps;
   rt::traverse_overlap(
-      bvh_, wide_, quantized_, query,
+      bvh_, wide_, query,
       [&](std::uint32_t j) {
         ++stats.isect_calls;
         if (j != self && !is_dead(j) &&
@@ -79,7 +77,7 @@ std::uint32_t PointBvhIndex::query_count(const geom::Vec3& center, float eps,
     return 0;
   }
   rt::traverse_overlap(
-      bvh_, wide_, quantized_, query,
+      bvh_, wide_, query,
       [&](std::uint32_t j) {
         ++stats.isect_calls;
         if (j != self && !is_dead(j) &&
@@ -104,7 +102,7 @@ std::uint32_t PointBvhIndex::query_count(const geom::Vec3& center, float eps,
 void PointBvhIndex::query_box(const geom::Aabb& box, NeighborVisitor visit,
                               rt::TraversalStats& stats) const {
   rt::traverse_overlap(
-      bvh_, wide_, quantized_, box,
+      bvh_, wide_, box,
       [&](std::uint32_t j) {
         ++stats.isect_calls;
         if (!is_dead(j) && box.contains(points_[j])) visit(j);

@@ -43,13 +43,9 @@ class PointBvhIndex final : public NeighborIndex {
 
   /// The underlying tree (build statistics, ablation benches).
   [[nodiscard]] const rt::Bvh& bvh() const { return bvh_; }
-  /// The collapsed wide layout; empty when queries walk the binary tree or
-  /// the quantized layout (rt::BuildOptions::width, rt::use_wide_traversal).
+  /// The collapsed wide layout; empty when queries walk the binary tree
+  /// (rt::BuildOptions::width, rt::use_wide_traversal).
   [[nodiscard]] const rt::WideBvh& wide_bvh() const { return wide_; }
-  /// The quantized layout; empty unless width == kWideQuantized.
-  [[nodiscard]] const rt::QuantizedWideBvh& quantized_bvh() const {
-    return quantized_;
-  }
 
  private:
   /// Refit contract: always satisfiable — the tree is over the bare points
@@ -96,7 +92,6 @@ class PointBvhIndex final : public NeighborIndex {
   std::size_t removed_since_refit_ = 0;
   rt::Bvh bvh_;
   rt::WideBvh wide_;  ///< collapsed layout; empty when traversal is binary
-  rt::QuantizedWideBvh quantized_;  ///< kWideQuantized only
 };
 
 }  // namespace rtd::index

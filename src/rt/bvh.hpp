@@ -28,25 +28,20 @@ const char* to_string(BuildAlgorithm algo);
 /// kBinary walks the 2-ary node tree below directly; kWide collapses it
 /// into the 8-ary structure-of-arrays layout of rt/wide_bvh.hpp, whose
 /// one-node-tests-8-children kernel is the fast path on large trees.
-/// kWideQuantized further compresses the wide node to 128 bytes by
-/// storing child bounds as uint8 offsets against a per-node anchor/scale,
-/// conservatively rounded outward (candidate supersets stay conservative,
-/// exact filters unchanged).  kAuto picks plain wide above a measured
-/// primitive-count threshold (rt::kWideBvhMinPrims); the quantized layout
-/// is an explicit opt-in.  This is a layout choice of the traversal
+/// kAuto picks wide above a measured primitive-count threshold
+/// (rt::kWideBvhMinPrims).  This is a layout choice of the traversal
 /// *consumers* (SphereAccel, TriangleAccel, index::PointBvhIndex) —
-/// build_bvh() always produces the binary tree; the wide layouts are
+/// build_bvh() always produces the binary tree; the wide layout is
 /// derived from it.
 enum class TraversalWidth : std::uint8_t {
   kAuto = 0,
   kBinary,
   kWide,
-  kWideQuantized,
 };
 
 const char* to_string(TraversalWidth width);
 
-/// Parse "auto" / "binary" / "wide" / "quantized" (bench/CLI width flags).
+/// Parse "auto" / "binary" / "wide" (bench/CLI width flags).
 /// Returns false and leaves `out` untouched on an unknown name.
 bool parse_traversal_width(const char* name, TraversalWidth& out);
 
@@ -104,9 +99,8 @@ struct Bvh {
   /// excluded from the leaf unions, shrinking node bounds around the LIVE
   /// primitives only (incremental removal maintenance — the topology keeps
   /// the dead slots, traversal just never tightens onto them again).  A leaf
-  /// whose primitives are ALL dead keeps its previous bounds: a never-hit
-  /// stale box is conservative and stays finite, which the quantized layout
-  /// requires (an inverted empty box has no representable anchor/scale).
+  /// whose primitives are ALL dead keeps its previous bounds: a stale box is
+  /// conservative, since any candidate it surfaces is dead and filtered.
   /// `dead` must cover every primitive id (size >= prim_count()).
   void refit(std::span<const geom::Aabb> prim_bounds,
              std::span<const std::uint8_t> dead);

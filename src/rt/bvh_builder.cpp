@@ -361,9 +361,8 @@ void Bvh::refit(std::span<const geom::Aabb> prim_bounds,
         box.grow(prim_bounds[prim]);
         any_live = true;
       }
-      // An all-dead leaf keeps its stale (finite, conservative) bounds —
-      // see the header comment: the quantized layout cannot encode an
-      // inverted empty box.
+      // An all-dead leaf keeps its stale (conservative) bounds — see the
+      // header comment.
       if (any_live) node.bounds = box;
     } else {
       node.bounds = geom::Aabb::unite(nodes[node.left_or_first].bounds,

@@ -112,7 +112,7 @@ TEST(ClustererSweep, MatchesOneShotAcrossTraversalWidths) {
   for (const IndexKind kind : {IndexKind::kPointBvh, IndexKind::kBvhRt}) {
     for (const rt::TraversalWidth width :
          {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
-          rt::TraversalWidth::kWideQuantized, rt::TraversalWidth::kAuto}) {
+          rt::TraversalWidth::kAuto}) {
       Clusterer session(dataset.points,
                         Options().with_backend(kind).with_width(width));
       const auto curve = session.sweep(kSweepEps, min_pts);
@@ -132,13 +132,9 @@ TEST(ClustererSweep, MatchesOneShotAcrossTraversalWidths) {
       // The resolved layout is reported: explicit requests are honored,
       // kAuto picks wide at this size.
       const rt::TraversalWidth reported = curve.back().stats.width;
-      if (width == rt::TraversalWidth::kBinary) {
-        EXPECT_EQ(reported, rt::TraversalWidth::kBinary);
-      } else if (width == rt::TraversalWidth::kWideQuantized) {
-        EXPECT_EQ(reported, rt::TraversalWidth::kWideQuantized);
-      } else {
-        EXPECT_EQ(reported, rt::TraversalWidth::kWide);
-      }
+      EXPECT_EQ(reported, width == rt::TraversalWidth::kBinary
+                              ? rt::TraversalWidth::kBinary
+                              : rt::TraversalWidth::kWide);
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -172,11 +173,10 @@ TEST(Flags, BooleanValueForms) {
 TEST(Cli, BackendAndWidthFlagsParseShareOneSpelling) {
   // The shared helpers are the single source of truth for the --backend /
   // --width CLI spellings across examples and benches.
-  const char* argv[] = {"prog", "--backend", "pointbvh", "--width",
-                        "quantized"};
+  const char* argv[] = {"prog", "--backend", "pointbvh", "--width", "wide"};
   Flags flags(5, const_cast<char**>(argv));
   EXPECT_EQ(cli::backend_flag(flags), index::IndexKind::kPointBvh);
-  EXPECT_EQ(cli::width_flag(flags), rt::TraversalWidth::kWideQuantized);
+  EXPECT_EQ(cli::width_flag(flags), rt::TraversalWidth::kWide);
 
   const char* none[] = {"prog"};
   Flags empty(1, const_cast<char**>(none));
@@ -189,6 +189,19 @@ TEST(Cli, BackendAndWidthFlagsParseShareOneSpelling) {
   Flags unknown(3, const_cast<char**>(bad));
   EXPECT_EQ(cli::backend_flag(unknown), std::nullopt);
   EXPECT_EQ(cli::width_flag(unknown), std::nullopt);
+
+  // A layout name outside the enum is rejected, and the diagnostic lists
+  // exactly the supported layouts.
+  rt::TraversalWidth untouched = rt::TraversalWidth::kBinary;
+  EXPECT_FALSE(rt::parse_traversal_width("quantized", untouched));
+  EXPECT_EQ(untouched, rt::TraversalWidth::kBinary);
+  const char* removed[] = {"prog", "--width", "quantized"};
+  Flags stale(3, const_cast<char**>(removed));
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cli::width_flag(stale), std::nullopt);
+  const std::string message = testing::internal::GetCapturedStderr();
+  EXPECT_NE(message.find("(choices: auto, binary, wide)"), std::string::npos)
+      << message;
 }
 
 TEST(Table, FormatsCells) {

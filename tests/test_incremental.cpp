@@ -173,13 +173,12 @@ TEST(IncrementalParity, RemovalsMatchOracleOnEveryBackend) {
 }
 
 TEST(IncrementalParity, WidthParityOnTreeBackends) {
-  // Above rt::kWideBvhMinPrims so kWide/kQuantized exercise the SoA walk.
+  // Above rt::kWideBvhMinPrims so kWide exercises the SoA walk.
   const auto base = data::taxi_gps(6000, 104);
   const auto extra = data::taxi_gps(200, 105);
   for (const IndexKind kind : {IndexKind::kPointBvh, IndexKind::kBvhRt}) {
     for (const rt::TraversalWidth width :
-         {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
-          rt::TraversalWidth::kWideQuantized}) {
+         {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
       Clusterer session(base.points,
                         Options().with_backend(kind).with_width(width));
       (void)session.run(0.25f, 10);

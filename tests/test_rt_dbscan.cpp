@@ -267,8 +267,7 @@ TEST(RtDbscanRunner, TriangleModeEpsSweepRefitsInPlace) {
   // results must match a from-scratch run at every eps, across widths.
   const auto dataset = data::taxi_gps(600, 94);
   for (const rt::TraversalWidth width :
-       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
-        rt::TraversalWidth::kWideQuantized}) {
+       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
     RtDbscanOptions opts;
     opts.geometry = GeometryMode::kTriangles;
     opts.triangle_subdivisions = 0;
@@ -304,21 +303,18 @@ TEST(RtDbscanRunner, TriangleModeEmptyInputSweeps) {
 }
 
 TEST(RtDbscan, TriangleModeWideWidthsMatchSphereMode) {
-  // The §VI-C acceptance path: triangle geometry over the wide and
-  // quantized kernels clusters identically to sphere mode.
+  // The §VI-C acceptance path: triangle geometry over the wide kernel
+  // clusters identically to sphere mode.
   const auto dataset = data::taxi_gps(1200, 95);
   const Params params{0.3f, 10};
   const auto spheres = rt_dbscan(dataset.points, params);
-  for (const rt::TraversalWidth width :
-       {rt::TraversalWidth::kWide, rt::TraversalWidth::kWideQuantized}) {
-    RtDbscanOptions opts;
-    opts.geometry = GeometryMode::kTriangles;
-    opts.device.build.width = width;
-    const auto triangles = rt_dbscan(dataset.points, params, opts);
-    const auto eq = dbscan::check_equivalent(
-        dataset.points, params, spheres.clustering, triangles.clustering);
-    EXPECT_TRUE(eq.equivalent) << rt::to_string(width) << ": " << eq.reason;
-  }
+  RtDbscanOptions opts;
+  opts.geometry = GeometryMode::kTriangles;
+  opts.device.build.width = rt::TraversalWidth::kWide;
+  const auto triangles = rt_dbscan(dataset.points, params, opts);
+  const auto eq = dbscan::check_equivalent(
+      dataset.points, params, spheres.clustering, triangles.clustering);
+  EXPECT_TRUE(eq.equivalent) << eq.reason;
 }
 
 TEST(PublicApi, ClusterConvenienceWrapper) {

@@ -1,13 +1,16 @@
 // FDBSCAN-DenseBox vs FDBSCAN vs RT-DBSCAN on high-density vs spread data —
 // testing the paper's §V-B claim that DenseBox only helps "in datasets with
 // very high density regions" and otherwise "performance remains the same or
-// is worse".
+// is worse".  The last column times a cold Clusterer::run (index build
+// included), whose phase 2 is cell-aware like DenseBox's but whose phase 1
+// still queries every point.
 //
 //   ./bench_densebox [--scale F] [--reps N]
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
+#include "core/clusterer.hpp"
 #include "core/rt_dbscan.hpp"
 #include "dbscan/fdbscan.hpp"
 #include "dbscan/fdbscan_densebox.hpp"
@@ -32,10 +35,17 @@ void run_case(const char* label, const data::Dataset& dataset,
   bench::time_median(cfg.reps, [&] {
     rt = core::rt_dbscan(dataset.points, params);
   });
+  dbscan::Clustering session_run;
+  const double session_cpu = bench::time_median(cfg.reps, [&] {
+    auto session = Clusterer::borrowing(dataset.points);
+    session_run = session.run(params.eps, params.min_pts).to_clustering();
+  });
   bench::verify(dataset.points, params, fd.clustering, db.clustering,
                 "fd vs densebox");
   bench::verify(dataset.points, params, fd.clustering, rt.clustering,
                 "fd vs rt");
+  bench::verify(dataset.points, params, db.clustering, session_run,
+                "densebox vs Clusterer::run");
 
   // Modeled device time: DenseBox runs the same software traversal machinery
   // as FDBSCAN, just less of it.
@@ -54,7 +64,7 @@ void run_case(const char* label, const data::Dataset& dataset,
                  Table::num(db_dev * 1e3, 2), Table::num(rt_dev * 1e3, 2),
                  Table::speedup(fd_dev / db_dev),
                  Table::speedup(db_dev / rt_dev), Table::seconds(fd_cpu),
-                 Table::seconds(db_cpu)});
+                 Table::seconds(db_cpu), Table::seconds(session_cpu)});
 }
 
 }  // namespace
@@ -70,7 +80,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("n", 60000)));
 
   Table table({"dataset", "dense pts", "FD dev(ms)", "DenseBox dev(ms)",
-               "RT dev(ms)", "DB vs FD", "RT vs DB", "FD cpu", "DB cpu"});
+               "RT dev(ms)", "DB vs FD", "RT vs DB", "FD cpu", "DB cpu",
+               "run cpu"});
 
   // Very high density regions: tight blobs.
   run_case("dense blobs", data::gaussian_blobs(n, 6, 0.15f, 50.0f, 2, 2023),

@@ -18,6 +18,7 @@ const std::vector<std::string>& all_sites() {
   // Keep sorted; the chaos soak iterates this list to prove every site fires.
   static const std::vector<std::string> kSites = {
       "dsu.grow",                 // AtomicDisjointSet::reset growth realloc
+      "engine.cells",             // eps-cell grouping (cache miss)
       "engine.phase1",            // full recount launch (run/sweep/heal)
       "engine.phase1_insert",     // insert count maintenance, post-capture
       "engine.phase1_remove",     // remove count maintenance, post-capture

@@ -120,6 +120,13 @@ struct Clusterer::Impl {
   float counts_eps = 0.0f;
   std::uint32_t counts_cap = index::kNoCap;  ///< kNoCap = exact
 
+  // ε-cell grouping for the cell-aware phase 2: like the counts, a pure
+  // function of (points, ε, live set), so a min_pts rerun reuses it;
+  // insert/remove/advance and each sweep() entry drop it.  Only the CSR
+  // stays resident; the sort scratch is borrowed (see finish_run).
+  dbscan::EpsCells cells;
+  bool cells_valid = false;
+
   // Reusable engine workspace: warm run() calls allocate nothing.
   std::optional<dsu::AtomicDisjointSet> dsu;
   std::vector<std::atomic<std::uint8_t>> claimed;
@@ -385,10 +392,11 @@ struct Clusterer::Impl {
   /// Shared epilogue of run() and each sweep() entry, from the ε-neighbor
   /// counts in `cts` (the session cache for run(), a sweep_counts column
   /// for sweep() — passed as a span so no intermediate copy is needed):
-  /// core flags, phase 2 over the reusable workspace, label finalization,
-  /// membership table, totals.  `query_eps` is passed to the per-query
-  /// phase-2 calls — it may sit below the index's build ε inside sweep()
-  /// (grid/dense-box radius contract).
+  /// core flags, the ε-cell grouping (cached), the cell-aware phase 2 over
+  /// the reusable workspace, label finalization, membership table, totals.
+  /// `query_eps` is passed to the per-query phase-2 calls — it may sit
+  /// below the index's build ε inside sweep() (grid/dense-box radius
+  /// contract); the cells are always grouped at `query_eps` itself.
   void finish_run(float query_eps, std::uint32_t min_pts,
                   std::span<const std::uint32_t> cts, const Timer& total) {
     ClusterResult& r = result;
@@ -415,10 +423,21 @@ struct Clusterer::Impl {
     for (std::size_t i = 0; i < n; ++i) {
       claimed[i].store(0, std::memory_order_relaxed);
     }
-    r.stats.phase2 = dbscan::index_phase2(*index, query_eps, order,
-                                          r.is_core, *dsu, claimed,
-                                          opts.threads);
-    r.stats.timings.cluster_phase_seconds = r.stats.phase2.seconds;
+    const Timer phase2_timer;
+    if (!cells_valid || cells.eps != query_eps) {
+      cells_valid = false;  // a throw mid-grouping would leave it torn
+      // The sort borrows two result buffers that are idle until phase 2
+      // is done (both are rewritten below), so grouping adds no transient
+      // memory.
+      dbscan::group_eps_cells(pts, query_eps, order, opts.threads, cells,
+                              r.neighbor_counts, r.members);
+      cells_valid = true;
+    }
+    r.stats.phase2 = dbscan::cell_phase2(*index, query_eps, order, cells,
+                                         r.is_core, *dsu, claimed,
+                                         opts.threads);
+    // Grouping included: a cache miss is part of this run's phase 2.
+    r.stats.timings.cluster_phase_seconds = phase2_timer.seconds();
 
     r.cluster_count = dbscan::finalize_labels_into(
         n, [&](std::uint32_t x) { return dsu->find(x); }, r.is_core,
@@ -873,6 +892,10 @@ struct Clusterer::Impl {
     // either completes or degrades the session (labels torn, committed
     // state kept) for the next call to heal.
     for (const std::uint32_t id : rem_sorted) counts[id] = 0;
+    // The live set changed: drop the grouping, memory included — a
+    // streaming session would otherwise keep a stale CSR resident.
+    cells = dbscan::EpsCells{};
+    cells_valid = false;
     st.timings.core_phase_seconds = st.phase1.seconds;
     counts_valid = true;
     counts_eps = eps;
@@ -1674,6 +1697,11 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
       }
       im.finish_run(eps, min_pts, im.counts,
                     v == 0 ? first_entry_timer : entry_timer);
+      // Each entry groups at its own ε, so no grouping outlives its entry:
+      // released before the entry's result is copied out, it never adds
+      // to the sweep's peak (the copies grow with every entry).
+      im.cells = dbscan::EpsCells{};
+      im.cells_valid = false;
       // Commit: the entry's exact counts become the session count cache
       // (the multi-count pass never caps) and the result is current —
       // mutations maintain the LAST completed ladder entry.
@@ -1887,6 +1915,15 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
   if (im.counts_valid && im.counts.size() != n) {
     fail("count cache covers " + std::to_string(im.counts.size()) +
          " slots, session has " + std::to_string(n));
+  }
+  if (im.cells_valid) {
+    for (const std::uint32_t m : im.cells.ids) {
+      if (m >= n || !im.is_live_slot(m)) {
+        fail("cached eps-cell grouping holds slot " + std::to_string(m) +
+             ", which is not a live slot");
+        break;
+      }
+    }
   }
   if (im.index && im.index->size() != n) {
     fail("index covers " + std::to_string(im.index->size()) +

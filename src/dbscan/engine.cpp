@@ -1,17 +1,89 @@
 #include "dbscan/engine.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "common/failpoint.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "geom/morton.hpp"
+#include "index/eps_cell_grid.hpp"
 #include "rt/parallel_launch.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace rtd::dbscan {
+
+namespace {
+
+/// `claimed` marker for members of a pre-unioned all-core cell (border
+/// claims store 1).
+constexpr std::uint8_t kCellMember = 2;
+
+/// The body of group_eps_cells once `cells.ids` holds the slots to group:
+/// a stable LSD radix sort of the ids by key_of(id) (ping-ponging through
+/// `swap`), then one pass over the runs of equal keys that keeps the
+/// certified multi-member cells, compacted in place.
+template <typename KeyOf>
+void collect_cells(std::span<const geom::Vec3> points, float eps,
+                   int key_bits, std::vector<std::uint32_t>& swap,
+                   EpsCells& cells, KeyOf&& key_of) {
+  constexpr int kDigitBits = 11;
+  constexpr std::uint64_t kDigitMask = (1u << kDigitBits) - 1;
+  std::vector<std::uint32_t>& ids = cells.ids;
+  swap.resize(ids.size());
+  std::array<std::uint32_t, std::size_t{1} << kDigitBits> bucket{};
+  bool sorted_in_swap = false;
+  for (int shift = 0; shift < key_bits; shift += kDigitBits) {
+    const std::vector<std::uint32_t>& from = sorted_in_swap ? swap : ids;
+    std::vector<std::uint32_t>& to = sorted_in_swap ? ids : swap;
+    bucket.fill(0);
+    for (const std::uint32_t i : from) {
+      ++bucket[(key_of(i) >> shift) & kDigitMask];
+    }
+    std::uint32_t sum = 0;
+    for (std::uint32_t& b : bucket) sum += std::exchange(b, sum);
+    for (const std::uint32_t i : from) {
+      to[bucket[(key_of(i) >> shift) & kDigitMask]++] = i;
+    }
+    sorted_in_swap = !sorted_in_swap;
+  }
+  if (sorted_in_swap) std::copy(swap.begin(), swap.end(), ids.begin());
+
+  // Runs of one key are cells.  The ids compact in place (the write cursor
+  // never passes the read one) and the starts collect in the now idle
+  // `swap`; both are then trimmed to what is kept, since callers keep the
+  // CSR resident.
+  const float eps2 = eps * eps;
+  std::size_t kept = 0;
+  std::size_t n_cells = 0;
+  swap[0] = 0;
+  for (std::size_t run = 0; run < ids.size();) {
+    const std::uint64_t key = key_of(ids[run]);
+    std::size_t end = run + 1;
+    while (end < ids.size() && key_of(ids[end]) == key) ++end;
+    if (end - run >= 2) {
+      geom::Aabb tight;
+      for (std::size_t r = run; r < end; ++r) tight.grow(points[ids[r]]);
+      if (geom::distance_squared(tight.lo, tight.hi) <= eps2) {
+        for (std::size_t r = run; r < end; ++r) ids[kept++] = ids[r];
+        swap[++n_cells] = static_cast<std::uint32_t>(kept);
+      }
+    }
+    run = end;
+  }
+  ids.resize(kept);
+  ids.shrink_to_fit();
+  if (n_cells > 0) {
+    const auto last = static_cast<std::ptrdiff_t>(n_cells) + 1;
+    cells.starts.assign(swap.begin(), swap.begin() + last);
+  }
+}
+
+}  // namespace
 
 std::vector<std::uint32_t> query_launch_order(
     std::span<const geom::Vec3> points, bool morton) {
@@ -127,43 +199,201 @@ rt::LaunchStats index_phase1_insert(const index::NeighborIndex& index,
   return launch;
 }
 
+void group_eps_cells(std::span<const geom::Vec3> points, float eps,
+                     std::span<const std::uint32_t> order, int threads,
+                     EpsCells& cells, std::vector<std::uint32_t>& keys,
+                     std::vector<std::uint32_t>& swap) {
+  // Serial boundary before any buffer is touched: an injected fault leaves
+  // the caller's cells as they were.
+  RTD_FAILPOINT("engine.cells");
+  cells.eps = eps;
+  cells.ids.clear();
+  cells.starts.clear();
+  if (order.size() < 2) return;
+
+  geom::Aabb bounds;
+  for (const std::uint32_t i : order) bounds.grow(points[i]);
+  const index::EpsCellGrid grid(bounds, eps);
+  if (!grid.fits_key_range(bounds)) return;  // per-point phase 2 instead
+
+  // Key: the three cell coordinates packed into the fewest bits their
+  // ranges need, so the radix sort runs as few passes as possible.  Every
+  // coordinate lies in [0, coord(bounds.hi)] because coord is monotone.
+  const geom::Vec3& o = grid.origin;
+  const auto axis_bits = [&](float hi, float lo) {
+    return static_cast<int>(
+        std::bit_width(static_cast<std::uint64_t>(grid.coord(hi, lo))));
+  };
+  const int bx = axis_bits(bounds.hi.x, o.x);
+  const int by = axis_bits(bounds.hi.y, o.y);
+  const int key_bits = bx + by + axis_bits(bounds.hi.z, o.z);
+  const auto key_of_point = [&grid, &o, bx, by](const geom::Vec3& p) {
+    return static_cast<std::uint64_t>(grid.coord(p.x, o.x)) |
+           static_cast<std::uint64_t>(grid.coord(p.y, o.y)) << bx |
+           static_cast<std::uint64_t>(grid.coord(p.z, o.z)) << (bx + by);
+  };
+
+  cells.ids.assign(order.begin(), order.end());
+  if (key_bits <= 32) {
+    // The common case: one parallel key pass, then the sort reads a 4-byte
+    // key per slot.
+    keys.resize(points.size());
+    {
+      const ThreadCountGuard guard(threads > 0 ? threads
+                                               : hardware_threads());
+      parallel_for(order.size(), [&](std::size_t k) {
+        const std::uint32_t i = order[k];
+        keys[i] = static_cast<std::uint32_t>(key_of_point(points[i]));
+      });
+    }
+    collect_cells(points, eps, key_bits, swap, cells,
+                  [&](std::uint32_t i) -> std::uint64_t { return keys[i]; });
+  } else {
+    // Wider keys are recomputed from the point on every read instead of
+    // doubling the key scratch.
+    collect_cells(points, eps, key_bits, swap, cells,
+                  [&](std::uint32_t i) { return key_of_point(points[i]); });
+  }
+}
+
 rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
                              std::span<const std::uint32_t> order,
                              std::span<const std::uint8_t> is_core,
                              dsu::AtomicDisjointSet& dsu,
                              std::span<std::atomic<std::uint8_t>> claimed,
                              int threads) {
+  static const EpsCells kNoCells;
+  return cell_phase2(index, eps, order, kNoCells, is_core, dsu, claimed,
+                     threads);
+}
+
+rt::LaunchStats cell_phase2(const index::NeighborIndex& index, float eps,
+                            std::span<const std::uint32_t> order,
+                            const EpsCells& cells,
+                            std::span<const std::uint8_t> is_core,
+                            dsu::AtomicDisjointSet& dsu,
+                            std::span<std::atomic<std::uint8_t>> claimed,
+                            int threads) {
+  const std::size_t n_cells = cells.count();
+  if (n_cells > 0 && cells.eps > eps) {
+    throw std::invalid_argument(
+        "cell_phase2: cells grouped at a radius above the query eps");
+  }
   const std::span<const geom::Vec3> points = index.points();
+  const float eps2 = eps * eps;
   RTD_TRACE_SPAN("engine.phase2");
   telemetry::count(telemetry::Counter::kEnginePhase2Launches);
   RTD_FAILPOINT("engine.phase2");
 
-  // Like phase 1: the order defines which points query (live sessions pass
-  // a live-only order; dead slots are never core, so skipping is free).
-  return rt::parallel_launch(
-      order.size(), threads, [&](rt::TraversalStats& stats, std::size_t k) {
-        const std::uint32_t i = order[k];
-        if (!is_core[i]) return;  // only core points initiate merges
+  // (a) Pre-union every all-core cell: its members are pairwise neighbors,
+  // so it is one component.  The mark tells (b) and (c) apart from the
+  // cores that query for themselves; border claims only ever touch
+  // non-core slots, so the two uses of `claimed` never meet.
+  rt::LaunchStats pre;
+  if (n_cells > 0) {
+    pre = rt::parallel_launch(
+        n_cells, threads, [&](rt::TraversalStats&, std::size_t c) {
+          const std::span<const std::uint32_t> members = cells.members(c);
+          std::uint32_t rep = members[0];
+          for (const std::uint32_t m : members) {
+            if (!is_core[m]) return;
+            rep = std::min(rep, m);
+          }
+          for (const std::uint32_t m : members) {
+            claimed[m].store(kCellMember, std::memory_order_relaxed);
+            dsu.unite(rep, m);
+          }
+        });
+  }
+  const auto in_cell = [&](std::uint32_t j) {
+    return claimed[j].load(std::memory_order_relaxed) == kCellMember;
+  };
+  // Border point: Alg. 3's critical section (lines 12-15) — an atomic claim
+  // guarantees the point joins exactly one cluster.
+  const auto claim_border = [&](std::uint32_t from, std::uint32_t j) {
+    std::uint8_t expected = 0;
+    if (claimed[j].compare_exchange_strong(expected, 1,
+                                           std::memory_order_acq_rel)) {
+      dsu.unite(from, j);
+    }
+  };
+
+  // (c) One inflated-box query per all-core cell, scheduled first: cells
+  // are the heavy items.
+  const auto cell_query = [&](rt::TraversalStats& stats, std::size_t c) {
+    const std::span<const std::uint32_t> members = cells.members(c);
+    if (!in_cell(members[0])) return;  // not all-core: members query in (b)
+    geom::Aabb tight;
+    std::uint32_t rep = members[0];
+    for (const std::uint32_t m : members) {
+      tight.grow(points[m]);
+      rep = std::min(rep, m);
+    }
+    // j is connected to the cell iff some member is within eps.  The tight
+    // bounds decide most candidates without touching a member.
+    const auto in_range = [&](std::uint32_t j) {
+      const geom::Vec3& p = points[j];
+      if (geom::min_distance_squared(p, tight) > eps2) return false;
+      if (geom::max_distance_squared(p, tight) <= eps2) return true;
+      for (const std::uint32_t m : members) {
+        if (geom::distance_squared(points[m], p) <= eps2) return true;
+      }
+      return false;
+    };
+    // Padded a hair beyond eps so float rounding at the boundary can never
+    // exclude a true neighbor; in_range is authoritative.
+    const float pad = 1.0001f * eps;
+    const geom::Aabb query(tight.lo - geom::Vec3{pad, pad, pad},
+                           tight.hi + geom::Vec3{pad, pad, pad});
+    index.query_box(
+        query,
+        [&](std::uint32_t j) {
+          if (!is_core[j]) {
+            if (claimed[j].load(std::memory_order_relaxed) == 0 &&
+                in_range(j)) {
+              claim_border(rep, j);
+            }
+            return;
+          }
+          // A core outside all-core cells united itself in (b).  Between
+          // two cells, the one whose smallest member is below the
+          // candidate acts (some connecting pair always qualifies); own
+          // members and already-merged cells cost two finds.
+          if (!in_cell(j) || j <= rep) return;
+          if (dsu.find(j) == dsu.find(rep)) return;
+          if (in_range(j)) dsu.unite(rep, j);
+        },
+        stats);
+  };
+
+  rt::LaunchStats launch = rt::parallel_launch(
+      n_cells + order.size(), threads,
+      [&](rt::TraversalStats& stats, std::size_t k) {
+        if (k < n_cells) {
+          cell_query(stats, k);
+          return;
+        }
+        // (b) Per-point queries.  Like phase 1, the order defines which
+        // points query (live sessions pass a live-only order; dead slots
+        // are never core, so skipping is free).
+        const std::uint32_t i = order[k - n_cells];
+        if (!is_core[i] || (n_cells > 0 && in_cell(i))) return;
         index.query_sphere(
             points[i], eps, i,
             [&](std::uint32_t j) {
-              if (is_core[j]) {
-                // Core-core merge (Alg. 3 line 10); pairs are seen from
-                // both ends, so do each merge once.
-                if (j > i) dsu.unite(i, j);
-              } else {
-                // Border point: Alg. 3's critical section (lines 12-15) —
-                // an atomic claim guarantees the point joins exactly one
-                // cluster.
-                std::uint8_t expected = 0;
-                if (claimed[j].compare_exchange_strong(
-                        expected, 1, std::memory_order_acq_rel)) {
-                  dsu.unite(i, j);
-                }
+              if (!is_core[j]) {
+                claim_border(i, j);
+              } else if (j > i || (n_cells > 0 && in_cell(j))) {
+                // Core-core merge (Alg. 3 line 10).  Pairs of querying
+                // cores are seen from both ends, so each merges once; a
+                // cell member never queries, so it merges from here.
+                dsu.unite(i, j);
               }
             },
             stats);
       });
+  launch.seconds += pre.seconds;
+  return launch;
 }
 
 IndexEngineResult cluster_with_index(const index::NeighborIndex& index,

@@ -13,6 +13,16 @@
 // (dbscan/fdbscan.cpp) is this engine over PointBvhIndex.  Swapping the
 // index swaps the query substrate without touching the clustering logic,
 // which is what makes backend comparisons honest.
+//
+// Cell-aware phase 2 (FDBSCAN-DenseBox's trick, Prokopenko et al.): the
+// points are grouped by an ε-cell grid (index::EpsCellGrid — cell diagonal
+// ε, so cell-mates are pairwise neighbors).  A cell whose members are all
+// core is one component: it is pre-unioned and merged with its surroundings
+// by ONE inflated-box query instead of |cell| per-point queries.  With no
+// cells, cell_phase2 is exactly the per-point phase 2 above.  The session
+// (rtd::Clusterer) and fdbscan_densebox run phase 2 this way;
+// cluster_with_index, rt_dbscan() and fdbscan() keep the paper's per-point
+// Algorithm 3 (one ray per core point).
 #pragma once
 
 #include <atomic>
@@ -104,15 +114,74 @@ rt::LaunchStats index_phase1_insert(const index::NeighborIndex& index,
                                     std::vector<std::uint32_t>& nbr_ids,
                                     std::vector<std::uint32_t>& nbr_starts);
 
+/// ε-cell grouping: the slots of a launch order binned by the
+/// index::EpsCellGrid of ε over those slots' bounds, as a CSR.  Only cells
+/// that can be pre-unioned are kept: two or more members whose TIGHT
+/// bounds have a diagonal within ε (a float-rounding guard at cell faces —
+/// every kept cell is a certified clique of ε-neighbors).  A function of
+/// (points, ε, the slots grouped) only, so callers may cache it across
+/// min_pts values.
+struct EpsCells {
+  float eps = 0.0f;                   ///< the grid's ε (0: never grouped)
+  std::vector<std::uint32_t> ids;     ///< member slot ids, cell by cell
+  std::vector<std::uint32_t> starts;  ///< cell c: ids[starts[c], starts[c+1])
+
+  [[nodiscard]] std::size_t count() const {
+    return starts.empty() ? 0 : starts.size() - 1;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> members(std::size_t c) const {
+    return std::span<const std::uint32_t>(ids).subspan(
+        starts[c], starts[c + 1] - starts[c]);
+  }
+};
+
+/// Group the slots of `order` (typically live-only) into `cells` at `eps`:
+/// a parallel key pass, then a stable LSD radix sort of the slot ids by
+/// cell key.  `keys` (one 4-byte key per slot) and `swap` (the sort's
+/// ping-pong buffer) are caller-owned scratch, resized here, so a caller
+/// can lend buffers that are idle at that point.  When the grid exceeds
+/// the key range (EpsCellGrid::fits_key_range) `cells` comes back empty —
+/// callers then run per-point phase 2 — and nothing throws for it.
+/// `threads` = 0 uses all hardware threads.
+void group_eps_cells(std::span<const geom::Vec3> points, float eps,
+                     std::span<const std::uint32_t> order, int threads,
+                     EpsCells& cells, std::vector<std::uint32_t>& keys,
+                     std::vector<std::uint32_t>& swap);
+
 /// Phase 2 over any index: concurrent union-find merges initiated by core
 /// points (Alg. 3 lines 7-18); border points claimed atomically through
-/// `claimed`.
+/// `claimed`.  The paper's per-point form: cell_phase2 with no cells.
 rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
                              std::span<const std::uint32_t> order,
                              std::span<const std::uint8_t> is_core,
                              dsu::AtomicDisjointSet& dsu,
                              std::span<std::atomic<std::uint8_t>> claimed,
                              int threads);
+
+/// Cell-aware phase 2.  `cells` must come from group_eps_cells at a radius
+/// no larger than `eps` (std::invalid_argument otherwise), over slots that
+/// all appear in `order`.  Three steps:
+///   (a) every cell whose members are all core is pre-unioned (it is one
+///       component) and its members marked in `claimed`;
+///   (b) one ε-query per core point OUTSIDE those cells, as in
+///       index_phase2 — a core neighbor inside such a cell is always
+///       united, because cell members never query;
+///   (c) one query_box per all-core cell, its tight bounds padded by ε.  A
+///       candidate is in range when its farthest distance to the bounds is
+///       within ε, out of range when its nearest is beyond ε, and otherwise
+///       by the first member within ε.  Border candidates are claimed by
+///       CAS; core candidates in other all-core cells are united (per-point
+///       cores already united themselves in (b)).
+/// `claimed` must be zero on entry; on return a nonzero entry marks a
+/// claimed border point or a member of a pre-unioned cell.  The returned
+/// stats count one ray per per-point query plus one per box query.
+rt::LaunchStats cell_phase2(const index::NeighborIndex& index, float eps,
+                            std::span<const std::uint32_t> order,
+                            const EpsCells& cells,
+                            std::span<const std::uint8_t> is_core,
+                            dsu::AtomicDisjointSet& dsu,
+                            std::span<std::atomic<std::uint8_t>> claimed,
+                            int threads);
 
 /// Full run: phase 1, core flags, phase 2, label finalization.  Sets the
 /// core/cluster phase timings and a total covering this call; the caller

@@ -6,30 +6,13 @@
 
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
+#include "dbscan/engine.hpp"
 #include "dsu/atomic_disjoint_set.hpp"
-#include "geom/aabb.hpp"
-#include "index/densebox_index.hpp"
 #include "index/neighbor_index.hpp"
 
 namespace rtd::dbscan {
 
-namespace {
-
-using geom::Aabb;
-using geom::Vec3;
-
-constexpr std::uint32_t kNoDenseCell = 0xffffffffu;
-
-Aabb bounds_of_members(std::span<const Vec3> points,
-                       std::span<const std::uint32_t> members) {
-  Aabb box;
-  for (const auto m : members) box.grow(points[m]);
-  return box;
-}
-
-}  // namespace
-
-DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
+DenseboxResult fdbscan_densebox(std::span<const geom::Vec3> points,
                                 const Params& params,
                                 const FdbscanOptions& options) {
   if (params.eps <= 0.0f) {
@@ -47,150 +30,63 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   out.is_core.assign(n, 0);
   if (n == 0) return result;
 
-  const int threads =
-      options.threads > 0 ? options.threads : hardware_threads();
-  ThreadCountGuard guard(threads);
-  const float eps2 = params.eps_squared();
-
   Timer total;
   Timer phase;
 
-  // Index build: the dense-box grid (cell diagonal <= ε, the certificate
+  // Index build: the ε-cell grouping (cell diagonal <= ε, the certificate
   // that any two cell-mates are ε-neighbors) plus the per-point query
   // backend — traditionally the point BVH, swappable via Params::index.
-  const index::DenseBoxIndex grid(points, params.eps);
-  // Spans into the grid's member storage — `grid` outlives every use.
-  std::vector<std::span<const std::uint32_t>> dense_cells;
-  std::vector<std::uint32_t> dense_cell_of(n, kNoDenseCell);
-  grid.for_each_cell([&](std::span<const std::uint32_t> members) {
-    if (members.size() < params.min_pts) return;
-    const auto cell_idx = static_cast<std::uint32_t>(dense_cells.size());
-    dense_cells.push_back(members);
-    for (const auto m : members) {
-      out.is_core[m] = 1;  // diagonal <= eps: every cell-mate is a neighbor
-      dense_cell_of[m] = cell_idx;
-    }
+  const std::vector<std::uint32_t> all = query_launch_order(points, false);
+  EpsCells cells;
+  {
+    std::vector<std::uint32_t> keys;
+    std::vector<std::uint32_t> swap;
+    group_eps_cells(points, params.eps, all, options.threads, cells, keys,
+                    swap);
+  }
+  // A cell with >= minPts members (a "dense box") proves them all core with
+  // zero distance computations; phase 1 queries only the rest.
+  for (std::size_t c = 0; c < cells.count(); ++c) {
+    const std::span<const std::uint32_t> members = cells.members(c);
+    if (members.size() < params.min_pts) continue;
+    for (const std::uint32_t m : members) out.is_core[m] = 1;
+    ++result.dense_cells;
     result.dense_points += members.size();
-  });
-  result.dense_cells = dense_cells.size();
-
+  }
+  std::vector<std::uint32_t> sparse;
+  sparse.reserve(n - result.dense_points);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!out.is_core[i]) sparse.push_back(i);
+  }
   const index::IndexKind kind =
       index::resolve_auto(params.index, index::IndexKind::kPointBvh);
-  // kDenseBox reuses the cell grid built above instead of a second copy.
-  std::unique_ptr<index::NeighborIndex> owned;
-  const index::NeighborIndex* index = &grid;
-  if (kind != index::IndexKind::kDenseBox) {
-    owned = index::make_index(points, params.eps, kind,
-                              {options.build, options.threads});
-    index = owned.get();
-  }
+  const auto idx = index::make_index(points, params.eps, kind,
+                                     {options.build, options.threads});
   out.timings.index_build_seconds = phase.seconds();
 
-  // Phase 1: core identification only for points outside dense boxes.
-  phase.restart();
-  const std::uint32_t cap =
-      options.early_exit ? params.min_pts - 1 : index::kNoCap;
-  std::vector<rt::TraversalStats> stats1(static_cast<std::size_t>(threads));
-  parallel_for_ctx(
-      n,
-      [&](std::size_t tid) { return &stats1[tid]; },
-      [&](rt::TraversalStats* st, std::size_t i) {
-        if (dense_cell_of[i] != kNoDenseCell) return;  // proven core for free
-        const std::uint32_t count = index->query_count(
-            points[i], params.eps, static_cast<std::uint32_t>(i), *st, cap);
-        out.is_core[i] = count + 1 >= params.min_pts ? 1 : 0;
-      });
-  for (auto& s : stats1) result.phase1_work += s;
-  out.timings.core_phase_seconds = phase.seconds();
+  // Phase 1: the engine's counting launch over the points outside dense
+  // boxes.
+  std::vector<std::uint32_t> counts;
+  const rt::LaunchStats phase1 = index_phase1(
+      *idx, params, sparse, options.early_exit, options.threads, counts);
+  for (const std::uint32_t i : sparse) {
+    out.is_core[i] = counts[i] + 1 >= params.min_pts ? 1 : 0;
+  }
+  result.phase1_work = phase1.work;
+  out.timings.core_phase_seconds = phase1.seconds;
 
-  // Phase 2.
-  phase.restart();
+  // Phase 2: the engine's cell-aware body — every dense box is an all-core
+  // cell, pre-unioned and merged by one inflated-box query.
   dsu::AtomicDisjointSet dsu(n);
   std::vector<std::atomic<std::uint8_t>> claimed(n);
   parallel_for(n, [&](std::size_t i) {
     claimed[i].store(0, std::memory_order_relaxed);
   });
-
-  // 2a. Pre-union every dense cell (free: the cell is one component).
-  for (const auto& members : dense_cells) {
-    for (std::size_t m = 1; m < members.size(); ++m) {
-      dsu.unite(members[0], members[m]);
-    }
-  }
-
-  // 2b. Per-point queries for cores OUTSIDE dense boxes (as in FDBSCAN).
-  std::vector<rt::TraversalStats> stats2(static_cast<std::size_t>(threads));
-  parallel_for_ctx(
-      n,
-      [&](std::size_t tid) { return &stats2[tid]; },
-      [&](rt::TraversalStats* st, std::size_t i) {
-        if (!out.is_core[i] || dense_cell_of[i] != kNoDenseCell) return;
-        index->query_sphere(
-            points[i], params.eps, static_cast<std::uint32_t>(i),
-            [&](std::uint32_t j) {
-              if (out.is_core[j]) {
-                // Avoid double work only among per-point queries; dense
-                // members never initiate per-point queries, so always unite
-                // with them.
-                if (dense_cell_of[j] != kNoDenseCell ||
-                    j > static_cast<std::uint32_t>(i)) {
-                  dsu.unite(static_cast<std::uint32_t>(i), j);
-                }
-              } else {
-                std::uint8_t expected = 0;
-                if (claimed[j].compare_exchange_strong(
-                        expected, 1, std::memory_order_acq_rel)) {
-                  dsu.unite(static_cast<std::uint32_t>(i), j);
-                }
-              }
-            },
-            *st);
-      });
-
-  // 2c. One inflated-box query per dense cell: connects the cell to
-  // everything within eps of ANY member (first-member-in-range early break),
-  // replacing |cell| per-point queries.  The box is padded a hair beyond ε
-  // so float rounding at the boundary can never exclude a true neighbor;
-  // the exact member-distance test below is authoritative.
-  parallel_for_ctx(
-      dense_cells.size(),
-      [&](std::size_t tid) { return &stats2[tid]; },
-      [&](rt::TraversalStats* st, std::size_t c) {
-        const auto& members = dense_cells[c];
-        const std::uint32_t rep = members[0];
-        const float pad = 1.0001f * params.eps;
-        Aabb query = bounds_of_members(points, members);
-        query.lo -= Vec3{pad, pad, pad};
-        query.hi += Vec3{pad, pad, pad};
-        index->query_box(
-            query,
-            [&](std::uint32_t j) {
-              if (dense_cell_of[j] == static_cast<std::uint32_t>(c)) {
-                return;  // own member
-              }
-              // j is connected to the cell iff some member is within eps.
-              bool in_range = false;
-              for (const auto m : members) {
-                if (geom::distance_squared(points[m], points[j]) <= eps2) {
-                  in_range = true;
-                  break;
-                }
-              }
-              if (!in_range) return;
-              if (out.is_core[j]) {
-                dsu.unite(rep, j);
-              } else {
-                std::uint8_t expected = 0;
-                if (claimed[j].compare_exchange_strong(
-                        expected, 1, std::memory_order_acq_rel)) {
-                  dsu.unite(rep, j);
-                }
-              }
-            },
-            *st);
-      });
-  for (auto& s : stats2) result.phase2_work += s;
-  out.timings.cluster_phase_seconds = phase.seconds();
+  const rt::LaunchStats phase2 =
+      cell_phase2(*idx, params.eps, all, cells, out.is_core, dsu, claimed,
+                  options.threads);
+  result.phase2_work = phase2.work;
+  out.timings.cluster_phase_seconds = phase2.seconds;
 
   finalize_labels(
       n, [&](std::uint32_t x) { return dsu.find(x); }, out.is_core, out);

@@ -12,12 +12,16 @@
 // skips all dense-box members; phase 2 replaces their per-point traversals
 // with one inflated-box traversal per dense cell.
 //
-// Port notes: the original merges dense boxes into the BVH itself; we keep
-// the cell structure in index::DenseBoxIndex and issue one volume query per
-// dense cell against the per-point backend (point BVH by default,
-// swappable via Params::index), which preserves the asymptotic savings
-// (queries ~ #cells instead of #points in dense regions) with a simpler
-// structure.
+// Port notes: the original merges dense boxes into the BVH itself; here it
+// is a configuration of the unified engine (dbscan/engine.hpp).  The
+// engine's ε-cell grouping (group_eps_cells, the index::EpsCellGrid cells)
+// supplies the dense boxes, phase 1 (index_phase1) queries only the points
+// outside them, and phase 2 is the engine's cell-aware body (cell_phase2),
+// which issues one volume query per all-core cell against the per-point
+// backend (point BVH by default, swappable via Params::index).  That keeps
+// the asymptotic savings (queries ~ #cells instead of #points in dense
+// regions) with a simpler structure.  The session API (rtd::Clusterer)
+// runs the same phase 2, without the phase-1 skip.
 #pragma once
 
 #include <span>

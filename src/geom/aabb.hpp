@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "geom/vec3.hpp"
@@ -85,5 +86,27 @@ struct Aabb {
     return {min(a.lo, b.lo), max(a.hi, b.hi)};
   }
 };
+
+/// Squared distance from `p` to the nearest point of `box` (0 inside it).
+/// Beyond ε² it proves no point inside the box is an ε-neighbor of `p`.
+inline float min_distance_squared(const Vec3& p, const Aabb& box) {
+  const auto axis = [](float v, float a, float b) {
+    const float d = v < a ? a - v : (v > b ? v - b : 0.0f);
+    return d * d;
+  };
+  return axis(p.x, box.lo.x, box.hi.x) + axis(p.y, box.lo.y, box.hi.y) +
+         axis(p.z, box.lo.z, box.hi.z);
+}
+
+/// Squared distance from `p` to the farthest corner of `box`.  Within ε²
+/// it proves every point inside the box is an ε-neighbor of `p`.
+inline float max_distance_squared(const Vec3& p, const Aabb& box) {
+  const auto axis = [](float v, float a, float b) {
+    const float d = std::max(std::abs(v - a), std::abs(v - b));
+    return d * d;
+  };
+  return axis(p.x, box.lo.x, box.hi.x) + axis(p.y, box.lo.y, box.hi.y) +
+         axis(p.z, box.lo.z, box.hi.z);
+}
 
 }  // namespace rtd::geom

@@ -1,19 +1,19 @@
 // DenseBoxIndex — dense-box grid (Prokopenko et al.'s certificate idea) as a
 // neighbor-query backend.
 //
-// A Cartesian grid whose cell DIAGONAL is <= the build ε (edge = ε/√dims):
-// any two points sharing a cell are provably within ε of each other.  A
-// sphere query walks the cells overlapping the query ball and classifies
-// each whole cell first:
+// A Cartesian grid whose cell DIAGONAL is <= the build ε (edge = ε/√dims,
+// index::EpsCellGrid): any two points sharing a cell are provably within ε
+// of each other.  A sphere query walks the cells overlapping the query ball
+// and classifies each whole cell first:
 //   * farthest corner within eps  -> accept every member, zero distance
 //     tests (the "dense box" certificate);
 //   * nearest corner beyond eps   -> reject the cell outright;
 //   * otherwise                   -> exact per-member distance tests.
 // On crowded data most members resolve through the first branch, which is
 // what the kAuto occupancy heuristic selects this backend for.  The cell
-// structure is also exposed directly (for_each_cell) because the
-// FDBSCAN-DenseBox variant turns cells with >= minPts members into free core
-// points.
+// structure itself stays private: the engine's cell-aware phase 2 and the
+// FDBSCAN-DenseBox variant group points by the same EpsCellGrid through
+// dbscan::group_eps_cells, which works on any backend.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "index/eps_cell_grid.hpp"
 #include "index/neighbor_index.hpp"
 
 namespace rtd::index {
@@ -30,7 +31,9 @@ namespace rtd::index {
 class DenseBoxIndex final : public NeighborIndex {
  public:
   /// Build the grid with cell diagonal `eps` (edge = ε/√3, or ε/√2 for flat
-  /// z = const data) over `points`.
+  /// z = const data) over `points`.  Throws std::invalid_argument when an
+  /// axis spans too many cells for the packed key
+  /// (EpsCellGrid::fits_key_range).
   DenseBoxIndex(std::span<const geom::Vec3> points, float eps);
 
   [[nodiscard]] IndexKind kind() const override {
@@ -53,15 +56,10 @@ class DenseBoxIndex final : public NeighborIndex {
                  rt::TraversalStats& stats) const override;
 
   /// Cell edge length (ε/√dims).
-  [[nodiscard]] float cell_edge() const { return cell_; }
+  [[nodiscard]] float cell_edge() const { return grid_.edge; }
 
   /// Number of non-empty cells.
   [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
-
-  /// Enumerate every non-empty cell's member ids (dataset indices).  Cell
-  /// order is unspecified but stable for a given build.
-  void for_each_cell(
-      FunctionRef<void(std::span<const std::uint32_t>)> f) const;
 
  private:
   // Mutation contract: inserts decline (base do_try_insert — cells hold
@@ -69,8 +67,6 @@ class DenseBoxIndex final : public NeighborIndex {
   // base dead mask, filtered in BOTH member branches of the walk (the
   // whole-cell certificate stays valid for the survivors: cell bounds are
   // never re-tightened, a dead member only ever widened them).
-  // for_each_cell still enumerates dead members — its one consumer
-  // (fdbscan_densebox) always builds a fresh index.
 
   struct Cell {
     /// TIGHT bounds of the members (not the nominal cell box): exact for
@@ -82,7 +78,6 @@ class DenseBoxIndex final : public NeighborIndex {
     std::vector<std::uint32_t> members;
   };
 
-  [[nodiscard]] std::int64_t coord(float v, float lo) const;
   [[nodiscard]] static std::uint64_t key(std::int64_t x, std::int64_t y,
                                          std::int64_t z);
 
@@ -105,8 +100,7 @@ class DenseBoxIndex final : public NeighborIndex {
 
   std::span<const geom::Vec3> points_;
   float eps_;
-  float cell_ = 0.0f;
-  geom::Vec3 origin_;
+  EpsCellGrid grid_;
   std::int64_t cmax_[3] = {0, 0, 0};  ///< max occupied cell coord per axis
   std::unordered_map<std::uint64_t, Cell> cells_;
 };

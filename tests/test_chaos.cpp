@@ -140,9 +140,10 @@ bool faulted_op(Clusterer& s, Rng& rng, const std::string& site, float& eps,
                 std::uint32_t min_pts) {
   try {
     if (site == "dsu.grow" || site == "engine.phase1" ||
-        site == "engine.phase2") {
-      // A fresh ε forces a full recount + merge; dsu.grow needs n to have
-      // grown since the last finish_run, which the clean steps provide.
+        site == "engine.cells" || site == "engine.phase2") {
+      // A fresh ε forces a full recount, a regrouping and a merge;
+      // dsu.grow needs n to have grown since the last finish_run, which
+      // the clean steps provide.
       eps = rng.uniformf(0.25f, 0.45f);
       (void)s.run(eps, min_pts);
     } else if (site == "engine.phase1_insert" || site == "index.insert" ||
@@ -193,7 +194,7 @@ void chaos_soak(IndexKind kind) {
 
   const std::vector<std::string>& sites = fail::all_sites();
   std::size_t steps = 0;
-  const int kCycles = 7;  // 7 × 16 sites × (clean + faulted) ≥ 200 steps
+  const int kCycles = 7;  // 7 × 17 sites × (clean + faulted) ≥ 200 steps
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     for (std::size_t si = 0; si < sites.size(); ++si) {
       const std::string& site = sites[si];

@@ -2,10 +2,11 @@
 // testing the paper's §V-B claim that DenseBox only helps "in datasets with
 // very high density regions" and otherwise "performance remains the same or
 // is worse".  The last column times a cold Clusterer::run (index build
-// included), whose phase 2 is cell-aware like DenseBox's but whose phase 1
-// still queries every point.
+// included), whose phase 2 is cell-aware like DenseBox's and whose phase 1
+// counts by cells (exact counts, no dense-box skip).  The taxi_gps row is
+// the session's dense-data gate: run cpu against DB cpu.
 //
-//   ./bench_densebox [--scale F] [--reps N]
+//   ./bench_densebox [--n N] [--scale F] [--reps N]
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -89,6 +90,8 @@ int main(int argc, char** argv) {
   // NGSIM-like duplication-heavy trajectories.
   run_case("NGSIM-like", data::vehicle_trajectories(n, 2023), {0.5f, 40},
            cfg, table);
+  // GPS hotspots (the perfbench "dense" geometry).
+  run_case("taxi_gps", data::taxi_gps(n, 2023), {0.05f, 8}, cfg, table);
   // No dense regions: spread road network.
   run_case("3DRoad-like", data::road_network(n, 2023), {0.4f, 25}, cfg,
            table);

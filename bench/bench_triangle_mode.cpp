@@ -102,21 +102,21 @@ int main(int argc, char** argv) {
   Table wsweep({"width", "cpu time", "speedup", "nodes/query",
                 "isect/query"});
   double binary_cpu = 0.0;
-  for (const rt::TraversalWidth width :
+  for (const rt::TraversalWidth layout :
        {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
     core::RtDbscanOptions opts;
     opts.geometry = core::GeometryMode::kTriangles;
     opts.triangle_subdivisions = 1;
-    opts.device.build.width = width;
+    opts.device.build.width = layout;
     core::RtDbscanResult r;
     const double cpu = bench::time_median(cfg.reps, [&] {
       r = core::rt_dbscan(dataset.points, params, opts);
     });
     bench::verify(dataset.points, params, sphere_result.clustering,
-                  r.clustering, rt::to_string(width));
-    if (width == rt::TraversalWidth::kBinary) binary_cpu = cpu;
+                  r.clustering, rt::to_string(layout));
+    if (layout == rt::TraversalWidth::kBinary) binary_cpu = cpu;
     wsweep.add_row(
-        {rt::to_string(width), Table::seconds(cpu),
+        {rt::to_string(layout), Table::seconds(cpu),
          Table::speedup(binary_cpu / cpu),
          Table::num(r.phase1.nodes_per_ray() + r.phase2.nodes_per_ray(), 1),
          Table::num(r.phase1.isect_per_ray() + r.phase2.isect_per_ray(),

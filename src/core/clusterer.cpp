@@ -123,7 +123,9 @@ struct Clusterer::Impl {
   // ε-cell grouping for the cell-aware phase 2: like the counts, a pure
   // function of (points, ε, live set), so a min_pts rerun reuses it;
   // insert/remove/advance and each sweep() entry drop it.  Only the CSR
-  // stays resident; the sort scratch is borrowed (see finish_run).
+  // stays resident; the sort scratch is borrowed (see finish_run).  A
+  // run() that recounts at a new ε leaves phase 1's sorted cells here
+  // (cells_valid false) for finish_run to certify.
   dbscan::EpsCells cells;
   bool cells_valid = false;
 
@@ -165,12 +167,12 @@ struct Clusterer::Impl {
   std::optional<dsu::AtomicDisjointSet> site_dsu;  ///< cut grouping + seeds
 
   // sweep() scratch: the shared multi-eps counting pass, laid out
-  // point-major (sweep_counts[i * ku + u]) so one query's ladder counters
-  // share a cache line in the per-neighbor hot loop.  Duplicate ladder
-  // values are deduplicated into one column each (sweep_col maps input
-  // position -> column), so the scratch is O(k_unique · n).
+  // point-major (sweep_counts[i * ku + u]) as dbscan::cell_phase1 writes
+  // it.  Duplicate ladder values are deduplicated into one column each
+  // (sweep_col maps input position -> column), so the scratch is
+  // O(k_unique · n).
   std::vector<std::uint32_t> sweep_counts;
-  std::vector<float> sweep_eps2;          ///< one ε² per UNIQUE ladder value
+  std::vector<float> sweep_eps;           ///< UNIQUE ladder values, ascending
   std::vector<std::uint32_t> sweep_col;   ///< input position -> column
 
   ClusterResult result;
@@ -397,8 +399,11 @@ struct Clusterer::Impl {
   /// `query_eps` is passed to the per-query phase-2 calls — it may sit
   /// below the index's build ε inside sweep() (grid/dense-box radius
   /// contract); the cells are always grouped at `query_eps` itself.
+  /// `presorted`: phase 1 just left every occupied cell at `query_eps` in
+  /// `cells`, so grouping only certifies them instead of sorting again.
   void finish_run(float query_eps, std::uint32_t min_pts,
-                  std::span<const std::uint32_t> cts, const Timer& total) {
+                  std::span<const std::uint32_t> cts, const Timer& total,
+                  bool presorted = false) {
     ClusterResult& r = result;
     const std::size_t n = pts.size();
 
@@ -426,11 +431,15 @@ struct Clusterer::Impl {
     const Timer phase2_timer;
     if (!cells_valid || cells.eps != query_eps) {
       cells_valid = false;  // a throw mid-grouping would leave it torn
-      // The sort borrows two result buffers that are idle until phase 2
-      // is done (both are rewritten below), so grouping adds no transient
-      // memory.
-      dbscan::group_eps_cells(pts, query_eps, order, opts.threads, cells,
-                              r.neighbor_counts, r.members);
+      if (presorted) {
+        dbscan::certify_eps_cells(pts, cells);
+      } else {
+        // The sort borrows two result buffers that are idle until phase 2
+        // is done (both are rewritten below), so grouping adds no
+        // transient memory.
+        dbscan::group_eps_cells(pts, query_eps, order, opts.threads, cells,
+                                r.neighbor_counts, r.members);
+      }
       cells_valid = true;
     }
     r.stats.phase2 = dbscan::cell_phase2(*index, query_eps, order, cells,
@@ -599,14 +608,26 @@ struct Clusterer::Impl {
     const bool reuse = counts_valid && counts_eps == eps &&
                        (counts_cap == index::kNoCap ||
                         min_pts - 1 <= counts_cap);
+    bool presorted = false;
     if (reuse) {
       r.stats.counts_reused = true;
     } else {
       counts_valid = false;  // a throw mid-launch would leave them torn
       try {
-        r.stats.phase1 =
-            dbscan::index_phase1(*index, params, order, opts.early_exit,
-                                 opts.threads, counts);
+        if (opts.early_exit) {
+          // Capped per-point counts: the cap is the point of early exit.
+          r.stats.phase1 = dbscan::index_phase1(*index, params, order, true,
+                                                opts.threads, counts);
+        } else {
+          // Exact counts by cell.  On a grouping-cache miss the sorted
+          // cells go on to phase 2, which then needs no second sort.
+          presorted = !cells_valid || cells.eps != eps;
+          if (presorted) cells_valid = false;
+          const float column[] = {eps};
+          r.stats.phase1 =
+              dbscan::cell_phase1(*index, column, order, opts.threads,
+                                  counts, presorted ? &cells : nullptr);
+        }
       } catch (...) {
         restore_metadata();  // strong; the count cache is dropped, not torn
         throw;
@@ -626,7 +647,7 @@ struct Clusterer::Impl {
     last_min_pts = min_pts;
     params_valid = true;
     try {
-      finish_run(eps, min_pts, counts, total);
+      finish_run(eps, min_pts, counts, total, presorted);
     } catch (...) {
       // The result buffers are partially overwritten.  Committed state
       // (points, mask, counts) is coherent; only the labels are torn —
@@ -1591,13 +1612,13 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   }
 
   // Shared phase 1: the index is built (or retargeted) ONCE at the
-  // ladder's maximum ε, and a single counting launch buckets every
-  // neighbor's exact d² against all ladder values at once — a query at
-  // ε_max enumerates a superset of every smaller ε-ball, and the bucket
-  // predicate d² <= ε² is the same test every backend's exact filter
-  // applies, so each column equals a native phase 1 at that ε.  The
-  // per-eps cost that remains is cluster formation; rebuild-per-eps pays
-  // k index builds AND k full counting passes (bench_micro_sweep
+  // ladder's maximum ε, and a single cell_phase1 pass counts every ladder
+  // value at once — cells sorted at ε_max, each pair's box distances
+  // decide the columns they can, and an ambiguous pair's exact d² is
+  // bucketed into the rest with the same d² <= ε² test every backend's
+  // exact filter applies, so each column equals a native phase 1 at that
+  // ε.  The per-eps cost that remains is cluster formation; rebuild-per-eps
+  // pays k index builds AND k full counting passes (bench_micro_sweep
   // measures the gap).  Duplicate ladder values share one column (their
   // counts are identical by definition), so the scratch is O(k_unique·n)
   // — the one deliberate deviation from the engine's O(n) memory, bounded
@@ -1610,40 +1631,26 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   const Timer first_entry_timer;  // entry 0 is charged with the shared work
   const Impl::EnsureStats build = im.ensure_index(eps_max);
   im.ensure_order();
-  im.sweep_eps2.clear();
+  im.sweep_eps.assign(eps_values.begin(), eps_values.end());
+  std::sort(im.sweep_eps.begin(), im.sweep_eps.end());
+  im.sweep_eps.erase(std::unique(im.sweep_eps.begin(), im.sweep_eps.end()),
+                     im.sweep_eps.end());
   im.sweep_col.resize(k);
   for (std::size_t v = 0; v < k; ++v) {
-    const float eps2 = eps_values[v] * eps_values[v];
-    const auto it =
-        std::find(im.sweep_eps2.begin(), im.sweep_eps2.end(), eps2);
-    im.sweep_col[v] =
-        static_cast<std::uint32_t>(it - im.sweep_eps2.begin());
-    if (it == im.sweep_eps2.end()) im.sweep_eps2.push_back(eps2);
+    im.sweep_col[v] = static_cast<std::uint32_t>(
+        std::lower_bound(im.sweep_eps.begin(), im.sweep_eps.end(),
+                         eps_values[v]) -
+        im.sweep_eps.begin());
   }
-  const std::size_t ku = im.sweep_eps2.size();
+  const std::size_t ku = im.sweep_eps.size();
   // Everything up to the entry loop touches only the index and scratch
-  // buffers: a throw (including this injected one) leaves the previous
-  // result intact — strong.
+  // buffers: a throw (including this injected one, or engine.phase1 inside
+  // the count) leaves the previous result intact — strong.  Tombstoned
+  // slots are not in the order: their counts stay 0 and they are never
+  // core.
   RTD_FAILPOINT("sweep.scratch");
-  im.sweep_counts.assign(ku * n, 0);
-  const std::span<const geom::Vec3> pts = im.pts;
-  // One query per ORDER entry (live slots only): tombstoned slots keep the
-  // zero counts from the assign above and are never core.
-  const rt::LaunchStats shared_phase1 = rt::parallel_launch(
-      im.order.size(), im.opts.threads,
-      [&](rt::TraversalStats& stats, std::size_t q) {
-        const std::uint32_t i = im.order[q];
-        std::uint32_t* const buckets = im.sweep_counts.data() + i * ku;
-        im.index->query_sphere(
-            pts[i], eps_max, i,
-            [&](std::uint32_t j) {
-              const float d2 = geom::distance_squared(pts[i], pts[j]);
-              for (std::size_t u = 0; u < ku; ++u) {
-                if (d2 <= im.sweep_eps2[u]) ++buckets[u];
-              }
-            },
-            stats);
-      });
+  const rt::LaunchStats shared_phase1 = dbscan::cell_phase1(
+      *im.index, im.sweep_eps, im.order, im.opts.threads, im.sweep_counts);
 
   for (std::size_t v = 0; v < k; ++v) {
     const Timer entry_timer;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -23,64 +24,383 @@ namespace {
 /// claims store 1).
 constexpr std::uint8_t kCellMember = 2;
 
-/// The body of group_eps_cells once `cells.ids` holds the slots to group:
-/// a stable LSD radix sort of the ids by key_of(id) (ping-ponging through
-/// `swap`), then one pass over the runs of equal keys that keeps the
-/// certified multi-member cells, compacted in place.
-template <typename KeyOf>
-void collect_cells(std::span<const geom::Vec3> points, float eps,
-                   int key_bits, std::vector<std::uint32_t>& swap,
-                   EpsCells& cells, KeyOf&& key_of) {
-  constexpr int kDigitBits = 11;
-  constexpr std::uint64_t kDigitMask = (1u << kDigitBits) - 1;
-  std::vector<std::uint32_t>& ids = cells.ids;
-  swap.resize(ids.size());
-  std::array<std::uint32_t, std::size_t{1} << kDigitBits> bucket{};
-  bool sorted_in_swap = false;
-  for (int shift = 0; shift < key_bits; shift += kDigitBits) {
-    const std::vector<std::uint32_t>& from = sorted_in_swap ? swap : ids;
-    std::vector<std::uint32_t>& to = sorted_in_swap ? ids : swap;
-    bucket.fill(0);
-    for (const std::uint32_t i : from) {
-      ++bucket[(key_of(i) >> shift) & kDigitMask];
-    }
-    std::uint32_t sum = 0;
-    for (std::uint32_t& b : bucket) sum += std::exchange(b, sum);
-    for (const std::uint32_t i : from) {
-      to[bucket[(key_of(i) >> shift) & kDigitMask]++] = i;
-    }
-    sorted_in_swap = !sorted_in_swap;
-  }
-  if (sorted_in_swap) std::copy(swap.begin(), swap.end(), ids.begin());
+/// The ε-cell grid over the points of a slot set, and its packed cell key:
+/// the three cell coordinates in the fewest bits their ranges need, x
+/// lowest, so keys order cells by z, then y, then x.  Every coordinate lies
+/// in [0, max] because coord is monotone.
+struct CellLayout {
+  index::EpsCellGrid grid;
+  bool fits = false;  ///< within the key range: cells can be formed
+  std::int64_t max_x = 0, max_y = 0, max_z = 0;
+  int bx = 0, by = 0, bz = 0;
 
-  // Runs of one key are cells.  The ids compact in place (the write cursor
-  // never passes the read one) and the starts collect in the now idle
-  // `swap`; both are then trimmed to what is kept, since callers keep the
-  // CSR resident.
-  const float eps2 = eps * eps;
-  std::size_t kept = 0;
-  std::size_t n_cells = 0;
-  swap[0] = 0;
-  for (std::size_t run = 0; run < ids.size();) {
-    const std::uint64_t key = key_of(ids[run]);
-    std::size_t end = run + 1;
-    while (end < ids.size() && key_of(ids[end]) == key) ++end;
-    if (end - run >= 2) {
-      geom::Aabb tight;
-      for (std::size_t r = run; r < end; ++r) tight.grow(points[ids[r]]);
-      if (geom::distance_squared(tight.lo, tight.hi) <= eps2) {
-        for (std::size_t r = run; r < end; ++r) ids[kept++] = ids[r];
+  CellLayout(std::span<const geom::Vec3> points, float eps,
+             std::span<const std::uint32_t> order) {
+    geom::Aabb bounds;
+    for (const std::uint32_t i : order) bounds.grow(points[i]);
+    grid = index::EpsCellGrid(bounds, eps);
+    fits = grid.fits_key_range(bounds);
+    if (!fits || bounds.is_empty()) return;
+    const geom::Vec3& o = grid.origin;
+    max_x = grid.coord(bounds.hi.x, o.x);
+    max_y = grid.coord(bounds.hi.y, o.y);
+    max_z = grid.coord(bounds.hi.z, o.z);
+    const auto bits = [](std::int64_t m) {
+      return static_cast<int>(std::bit_width(static_cast<std::uint64_t>(m)));
+    };
+    bx = bits(max_x);
+    by = bits(max_y);
+    bz = bits(max_z);
+  }
+
+  [[nodiscard]] int key_bits() const { return bx + by + bz; }
+  [[nodiscard]] std::uint64_t key(std::int64_t x, std::int64_t y,
+                                  std::int64_t z) const {
+    return static_cast<std::uint64_t>(x) |
+           static_cast<std::uint64_t>(y) << bx |
+           static_cast<std::uint64_t>(z) << (bx + by);
+  }
+  [[nodiscard]] std::uint64_t key_of(const geom::Vec3& p) const {
+    const geom::Vec3& o = grid.origin;
+    return key(grid.coord(p.x, o.x), grid.coord(p.y, o.y),
+               grid.coord(p.z, o.z));
+  }
+};
+
+/// A run of sorted ids is a certified cell: two or more members whose
+/// TIGHT bounds have a diagonal within ε (a float-rounding guard at cell
+/// faces — the members are then pairwise ε-neighbors).
+bool is_clique(std::span<const geom::Vec3> points, float eps2,
+               std::span<const std::uint32_t> members) {
+  if (members.size() < 2) return false;
+  geom::Aabb tight;
+  for (const std::uint32_t m : members) tight.grow(points[m]);
+  return geom::distance_squared(tight.lo, tight.hi) <= eps2;
+}
+
+/// Sort the slots of `order` into `ids` by cell key — a stable LSD radix
+/// sort ping-ponging through `swap` — then pass every run of equal keys
+/// (a cell) to `keep(run)`.  Kept runs are compacted in place (the write
+/// cursor never passes the read one) and their ends collect in `swap`,
+/// which holds the CSR starts [0, returned cell count] on return.  Keys of
+/// at most 32 bits are computed once into `keys` (one 4-byte key per slot,
+/// grown to points.size() if smaller); wider keys are recomputed from the
+/// point on every read instead of doubling that scratch.
+template <typename Keep>
+std::size_t sort_cells(std::span<const geom::Vec3> points,
+                       const CellLayout& layout,
+                       std::span<const std::uint32_t> order, int threads,
+                       std::vector<std::uint32_t>& ids,
+                       std::vector<std::uint32_t>& keys,
+                       std::vector<std::uint32_t>& swap, Keep&& keep) {
+  const int key_bits = layout.key_bits();
+  const auto run = [&](auto&& key_of) {
+    constexpr int kDigitBits = 11;
+    constexpr std::uint64_t kDigitMask = (1u << kDigitBits) - 1;
+    ids.assign(order.begin(), order.end());
+    swap.resize(ids.size() + 1);
+    std::array<std::uint32_t, std::size_t{1} << kDigitBits> bucket{};
+    bool sorted_in_swap = false;
+    for (int shift = 0; shift < key_bits; shift += kDigitBits) {
+      const std::uint32_t* from = sorted_in_swap ? swap.data() : ids.data();
+      std::uint32_t* to = sorted_in_swap ? ids.data() : swap.data();
+      bucket.fill(0);
+      for (std::size_t r = 0; r < ids.size(); ++r) {
+        ++bucket[(key_of(from[r]) >> shift) & kDigitMask];
+      }
+      std::uint32_t sum = 0;
+      for (std::uint32_t& b : bucket) sum += std::exchange(b, sum);
+      for (std::size_t r = 0; r < ids.size(); ++r) {
+        to[bucket[(key_of(from[r]) >> shift) & kDigitMask]++] = from[r];
+      }
+      sorted_in_swap = !sorted_in_swap;
+    }
+    if (sorted_in_swap) {
+      std::copy(swap.begin(), swap.end() - 1, ids.begin());
+    }
+
+    std::size_t kept = 0;
+    std::size_t n_cells = 0;
+    swap[0] = 0;
+    for (std::size_t begin = 0; begin < ids.size();) {
+      const std::uint64_t key = key_of(ids[begin]);
+      std::size_t end = begin + 1;
+      while (end < ids.size() && key_of(ids[end]) == key) ++end;
+      if (keep(std::span<const std::uint32_t>(ids).subspan(begin,
+                                                            end - begin))) {
+        for (std::size_t r = begin; r < end; ++r) ids[kept++] = ids[r];
         swap[++n_cells] = static_cast<std::uint32_t>(kept);
       }
+      begin = end;
     }
-    run = end;
+    ids.resize(kept);
+    return n_cells;
+  };
+
+  if (key_bits > 32) {
+    return run([&](std::uint32_t i) { return layout.key_of(points[i]); });
   }
-  ids.resize(kept);
-  ids.shrink_to_fit();
-  if (n_cells > 0) {
-    const auto last = static_cast<std::ptrdiff_t>(n_cells) + 1;
-    cells.starts.assign(swap.begin(), swap.begin() + last);
+  // The common case: one parallel key pass, then the sort reads a 4-byte
+  // key per slot.
+  if (keys.size() < points.size()) keys.resize(points.size());
+  rt::parallel_launch(order.size(), threads,
+                      [&](rt::TraversalStats&, std::size_t k) {
+                        const std::uint32_t i = order[k];
+                        keys[i] = static_cast<std::uint32_t>(
+                            layout.key_of(points[i]));
+                      });
+  return run([&](std::uint32_t i) -> std::uint64_t { return keys[i]; });
+}
+
+/// Per-point counting over `order` into zeroed point-major `counts`: one
+/// query_count per entry (capped at `cap`) for one column, otherwise one
+/// query_sphere at the largest ε whose neighbors' d² are bucketed into
+/// every column.
+rt::LaunchStats point_counts(const index::NeighborIndex& index,
+                             std::span<const float> eps_columns,
+                             std::span<const std::uint32_t> order,
+                             int threads, std::uint32_t cap,
+                             std::vector<std::uint32_t>& counts) {
+  const std::span<const geom::Vec3> points = index.points();
+  const std::size_t k = eps_columns.size();
+  if (k == 1) {
+    return rt::parallel_launch(
+        order.size(), threads, [&](rt::TraversalStats& stats, std::size_t q) {
+          const std::uint32_t i = order[q];
+          counts[i] =
+              index.query_count(points[i], eps_columns[0], i, stats, cap);
+        });
   }
+  return rt::parallel_launch(
+      order.size(), threads, [&](rt::TraversalStats& stats, std::size_t q) {
+        const std::uint32_t i = order[q];
+        std::uint32_t* const row = counts.data() + i * k;
+        index.query_sphere(
+            points[i], eps_columns[k - 1], i,
+            [&](std::uint32_t j) {
+              const float d2 = geom::distance_squared(points[i], points[j]);
+              for (std::size_t u = 0; u < k; ++u) {
+                if (d2 <= eps_columns[u] * eps_columns[u]) ++row[u];
+              }
+            },
+            stats);
+      });
+}
+
+/// First index at or after `from` whose key is >= `key` (keys sorted): a
+/// galloping search, since a stencil row's cursor only moves forward.
+std::size_t seek(std::span<const std::uint64_t> keys, std::size_t from,
+                 std::uint64_t key) {
+  if (from >= keys.size() || keys[from] >= key) return from;
+  std::size_t lo = from;  // keys[lo] < key
+  std::size_t step = 1;
+  while (lo + step < keys.size() && keys[lo + step] < key) {
+    lo += step;
+    step *= 2;
+  }
+  const std::size_t hi = std::min(keys.size(), lo + step);
+  return static_cast<std::size_t>(
+      std::lower_bound(keys.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
+                       keys.begin() + static_cast<std::ptrdiff_t>(hi), key) -
+      keys.begin());
+}
+
+/// Members' coordinates in cell CSR order, one array per axis: the
+/// candidate loops then vectorize without shuffles (about 3x faster per
+/// distance test than reading Vec3s).
+struct SortedCoords {
+  std::vector<float> x, y, z;
+
+  explicit SortedCoords(std::size_t n) : x(n), y(n), z(n) {}
+  [[nodiscard]] geom::Vec3 operator[](std::size_t r) const {
+    return {x[r], y[r], z[r]};
+  }
+};
+
+/// Sorted positions per cell_phase1 task: a giant cell spreads over many
+/// tasks, and a task's counters stay on a few cache lines.
+constexpr std::size_t kCountBlock = 128;
+/// Candidate cells at least this large get a member-to-box test before the
+/// member × candidates loop.
+constexpr std::uint32_t kRefineMembers = 16;
+/// Candidates whose d² the multi-column loop holds at once.
+constexpr std::uint32_t kDistanceChunk = 64;
+
+/// The counting pass of cell_phase1 over a cell CSR: `sorted` holds the
+/// members' coordinates, `box` and `key` one entry per cell.
+/// kOne specializes the single-column case; with k columns each task keeps
+/// k + 1 difference counters per position (column k absorbs range ends):
+/// adding v to columns [s, e) adds v at s and subtracts it at e, and the
+/// final counts are prefix sums over the columns.
+template <bool kOne>
+rt::LaunchStats count_cells(const CellLayout& layout,
+                            std::span<const float> eps2,
+                            const EpsCells& cells,
+                            const SortedCoords& sorted,
+                            std::span<const geom::Aabb> box,
+                            std::span<const std::uint64_t> key, int threads,
+                            std::vector<std::uint32_t>& counts) {
+  constexpr std::int64_t kReach = 2;  // ceil(ε / edge) for edge ε/√2, ε/√3
+  constexpr std::size_t kRows = (2 * kReach + 1) * (2 * kReach + 1);
+  const std::size_t k = eps2.size();
+  const std::size_t width = k + 1;
+  const float e2_max = eps2[k - 1];
+  const std::vector<std::uint32_t>& starts = cells.starts;
+  const std::size_t n_cells = cells.count();
+  const std::size_t m = cells.ids.size();
+  const std::uint64_t mask_x = (std::uint64_t{1} << layout.bx) - 1;
+  const std::uint64_t mask_y = (std::uint64_t{1} << layout.by) - 1;
+  const std::size_t n_tasks = (m + kCountBlock - 1) / kCountBlock;
+
+  return rt::parallel_launch(n_tasks, threads, [&](rt::TraversalStats& stats,
+                                                   std::size_t task) {
+    const std::size_t p0 = task * kCountBlock;
+    const std::size_t p1 = std::min(m, p0 + kCountBlock);
+    std::array<std::uint32_t, kCountBlock> one{};
+    std::vector<std::uint32_t> many;
+    if constexpr (!kOne) many.assign((p1 - p0) * width, 0);
+    std::array<std::size_t, kRows> cursor{};
+
+    // Cells of the block in key order; each stencil row's range only moves
+    // forward, so its cursor gallops from where the last cell left it.
+    std::size_t c = static_cast<std::size_t>(
+        std::upper_bound(starts.begin(), starts.end(),
+                         static_cast<std::uint32_t>(p0)) -
+        starts.begin() - 1);
+    for (; c < n_cells && starts[c] < p1; ++c) {
+      const std::size_t f0 = std::max<std::size_t>(starts[c], p0);
+      const std::size_t f1 = std::min<std::size_t>(starts[c + 1], p1);
+      if (f0 == starts[c]) ++stats.rays;
+      const std::uint64_t kc = key[c];
+      const auto cx = static_cast<std::int64_t>(kc & mask_x);
+      const auto cy = static_cast<std::int64_t>((kc >> layout.bx) & mask_y);
+      const auto cz = static_cast<std::int64_t>(kc >> (layout.bx + layout.by));
+      const std::int64_t x0 = std::max<std::int64_t>(cx - kReach, 0);
+      const std::int64_t x1 = std::min(cx + kReach, layout.max_x);
+
+      for (std::int64_t dz = -kReach; dz <= kReach; ++dz) {
+        const std::int64_t z = cz + dz;
+        if (z < 0 || z > layout.max_z) continue;
+        for (std::int64_t dy = -kReach; dy <= kReach; ++dy) {
+          const std::int64_t y = cy + dy;
+          if (y < 0 || y > layout.max_y) continue;
+          std::size_t& cur =
+              cursor[static_cast<std::size_t>((dz + kReach) *
+                                                  (2 * kReach + 1) +
+                                              dy + kReach)];
+          cur = seek(key, cur, layout.key(x0, y, z));
+          const std::uint64_t last = layout.key(x1, y, z);
+          for (std::size_t b = cur; b < n_cells && key[b] <= last; ++b) {
+            ++stats.aabb_tests;
+            const float lo2 = geom::min_distance_squared(box[c], box[b]);
+            if (lo2 > e2_max) continue;
+            const float hi2 = geom::max_distance_squared(box[c], box[b]);
+            const std::uint32_t self = b == c ? 1 : 0;
+            const std::uint32_t size_b = starts[b + 1] - starts[b];
+            const std::uint32_t credit = size_b - self;
+            const float* const cand_x = sorted.x.data() + starts[b];
+            const float* const cand_y = sorted.y.data() + starts[b];
+            const float* const cand_z = sorted.z.data() + starts[b];
+
+            if constexpr (kOne) {
+              if (hi2 <= e2_max) {
+                for (std::size_t a = f0; a < f1; ++a) one[a - p0] += credit;
+                continue;
+              }
+              for (std::size_t a = f0; a < f1; ++a) {
+                const geom::Vec3 pa = sorted[a];
+                if (size_b >= kRefineMembers) {
+                  ++stats.aabb_tests;
+                  if (geom::min_distance_squared(pa, box[b]) > e2_max) {
+                    continue;
+                  }
+                  if (geom::max_distance_squared(pa, box[b]) <= e2_max) {
+                    one[a - p0] += credit;
+                    continue;
+                  }
+                }
+                std::uint32_t within = 0;
+                for (std::uint32_t q = 0; q < size_b; ++q) {
+                  within += geom::distance_squared(
+                                pa, geom::Vec3{cand_x[q], cand_y[q], cand_z[q]}) <=
+                            e2_max;
+                }
+                stats.isect_calls += size_b;
+                // The self pair (d² = 0) always counted once.
+                one[a - p0] += within - self;
+              }
+            } else {
+              // Columns below lo are out for every pair, columns from hi
+              // on are in for every pair; [lo, hi) is decided per pair.
+              std::size_t lo = 0;
+              while (eps2[lo] < lo2) ++lo;
+              std::size_t hi = lo;
+              while (hi < k && eps2[hi] < hi2) ++hi;
+              for (std::size_t a = f0; a < f1; ++a) {
+                many[(a - p0) * width + hi] += credit;
+              }
+              if (lo == hi) continue;
+              for (std::size_t a = f0; a < f1; ++a) {
+                std::uint32_t* const acc = many.data() + (a - p0) * width;
+                const geom::Vec3 pa = sorted[a];
+                std::size_t lo_a = lo;
+                std::size_t hi_a = hi;
+                if (size_b >= kRefineMembers) {
+                  ++stats.aabb_tests;
+                  const float d_lo = geom::min_distance_squared(pa, box[b]);
+                  while (lo_a < hi && eps2[lo_a] < d_lo) ++lo_a;
+                  const float d_hi = geom::max_distance_squared(pa, box[b]);
+                  hi_a = lo_a;
+                  while (hi_a < hi && eps2[hi_a] < d_hi) ++hi_a;
+                  // [hi_a, hi) is in for every candidate of this member.
+                  acc[hi_a] += credit;
+                  acc[hi] -= credit;
+                  if (lo_a == hi_a) continue;
+                }
+                // d² once per pair, then one count per undecided column.
+                std::array<float, kDistanceChunk> d2;
+                for (std::uint32_t q0 = 0; q0 < size_b; q0 += kDistanceChunk) {
+                  const std::uint32_t len = std::min<std::uint32_t>(
+                      kDistanceChunk, size_b - q0);
+                  for (std::uint32_t q = 0; q < len; ++q) {
+                    const std::uint32_t j = q0 + q;
+                    d2[q] = geom::distance_squared(
+                        pa, geom::Vec3{cand_x[j], cand_y[j], cand_z[j]});
+                  }
+                  for (std::size_t u = lo_a; u < hi_a; ++u) {
+                    std::uint32_t within = 0;
+                    for (std::uint32_t q = 0; q < len; ++q) {
+                      within += d2[q] <= eps2[u];
+                    }
+                    acc[u] += within;
+                    acc[u + 1] -= within;
+                  }
+                }
+                stats.isect_calls += size_b;
+                // The self pair (d² = 0) counted once in every column.
+                acc[lo_a] -= self;
+                acc[hi_a] += self;
+              }
+            }
+          }
+        }
+      }
+    }
+
+    // Each task owns its positions' slots: plain stores.
+    const std::span<const std::uint32_t> ids = cells.ids;
+    for (std::size_t a = p0; a < p1; ++a) {
+      if constexpr (kOne) {
+        counts[ids[a]] = one[a - p0];
+      } else {
+        std::uint32_t run = 0;
+        for (std::size_t u = 0; u < k; ++u) {
+          run += many[(a - p0) * width + u];
+          counts[ids[a] * k + u] = run;
+        }
+      }
+    }
+  });
 }
 
 }  // namespace
@@ -108,28 +428,22 @@ rt::LaunchStats index_phase1(const index::NeighborIndex& index,
                              std::span<const std::uint32_t> order,
                              bool early_exit, int threads,
                              std::vector<std::uint32_t>& counts) {
-  const std::size_t n = index.size();
-  counts.assign(n, 0);
+  // One query per ORDER entry, not per slot: a live session passes an order
+  // that skips tombstoned slots, whose counts stay 0 from this assign.
+  counts.assign(index.size(), 0);
   // Counting to minPts-1 (excluding self) is enough to decide the core
   // test `count + 1 >= minPts`; backends that cannot terminate traversal
   // (the RT pipeline) ignore the cap and return exact counts.
   const std::uint32_t cap =
       early_exit ? params.min_pts - 1 : index::kNoCap;
-  const std::span<const geom::Vec3> points = index.points();
   // Before the launch: a throw from inside the parallel region would
   // terminate, so faults inject at the serial boundary only.  The span
   // wraps the launch from outside for the same reason.
   RTD_TRACE_SPAN("engine.phase1");
   telemetry::count(telemetry::Counter::kEnginePhase1Launches);
   RTD_FAILPOINT("engine.phase1");
-
-  // One query per ORDER entry, not per slot: a live session passes an order
-  // that skips tombstoned slots, whose counts stay 0 from the assign above.
-  return rt::parallel_launch(
-      order.size(), threads, [&](rt::TraversalStats& stats, std::size_t k) {
-        const std::uint32_t i = order[k];
-        counts[i] = index.query_count(points[i], params.eps, i, stats, cap);
-      });
+  const float eps[] = {params.eps};
+  return point_counts(index, eps, order, threads, cap, counts);
 }
 
 rt::LaunchStats index_phase1_remove(const index::NeighborIndex& index,
@@ -210,50 +524,126 @@ void group_eps_cells(std::span<const geom::Vec3> points, float eps,
   cells.ids.clear();
   cells.starts.clear();
   if (order.size() < 2) return;
+  const CellLayout layout(points, eps, order);
+  if (!layout.fits) return;  // per-point phase 2 instead
 
-  geom::Aabb bounds;
-  for (const std::uint32_t i : order) bounds.grow(points[i]);
-  const index::EpsCellGrid grid(bounds, eps);
-  if (!grid.fits_key_range(bounds)) return;  // per-point phase 2 instead
-
-  // Key: the three cell coordinates packed into the fewest bits their
-  // ranges need, so the radix sort runs as few passes as possible.  Every
-  // coordinate lies in [0, coord(bounds.hi)] because coord is monotone.
-  const geom::Vec3& o = grid.origin;
-  const auto axis_bits = [&](float hi, float lo) {
-    return static_cast<int>(
-        std::bit_width(static_cast<std::uint64_t>(grid.coord(hi, lo))));
-  };
-  const int bx = axis_bits(bounds.hi.x, o.x);
-  const int by = axis_bits(bounds.hi.y, o.y);
-  const int key_bits = bx + by + axis_bits(bounds.hi.z, o.z);
-  const auto key_of_point = [&grid, &o, bx, by](const geom::Vec3& p) {
-    return static_cast<std::uint64_t>(grid.coord(p.x, o.x)) |
-           static_cast<std::uint64_t>(grid.coord(p.y, o.y)) << bx |
-           static_cast<std::uint64_t>(grid.coord(p.z, o.z)) << (bx + by);
-  };
-
-  cells.ids.assign(order.begin(), order.end());
-  if (key_bits <= 32) {
-    // The common case: one parallel key pass, then the sort reads a 4-byte
-    // key per slot.
-    keys.resize(points.size());
-    {
-      const ThreadCountGuard guard(threads > 0 ? threads
-                                               : hardware_threads());
-      parallel_for(order.size(), [&](std::size_t k) {
-        const std::uint32_t i = order[k];
-        keys[i] = static_cast<std::uint32_t>(key_of_point(points[i]));
+  const float eps2 = eps * eps;
+  const std::size_t n_cells = sort_cells(
+      points, layout, order, threads, cells.ids, keys, swap,
+      [&](std::span<const std::uint32_t> run) {
+        return is_clique(points, eps2, run);
       });
-    }
-    collect_cells(points, eps, key_bits, swap, cells,
-                  [&](std::uint32_t i) -> std::uint64_t { return keys[i]; });
-  } else {
-    // Wider keys are recomputed from the point on every read instead of
-    // doubling the key scratch.
-    collect_cells(points, eps, key_bits, swap, cells,
-                  [&](std::uint32_t i) { return key_of_point(points[i]); });
+  // Callers keep the CSR resident: trim it to what is kept.
+  cells.ids.shrink_to_fit();
+  if (n_cells > 0) {
+    cells.starts.assign(
+        swap.begin(),
+        swap.begin() + static_cast<std::ptrdiff_t>(n_cells) + 1);
   }
+}
+
+rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
+                            std::span<const float> eps_columns,
+                            std::span<const std::uint32_t> order, int threads,
+                            std::vector<std::uint32_t>& counts,
+                            EpsCells* sorted) {
+  const std::size_t k = eps_columns.size();
+  if (k == 0 || std::adjacent_find(eps_columns.begin(), eps_columns.end(),
+                                   std::greater_equal<>()) !=
+                    eps_columns.end()) {
+    throw std::invalid_argument(
+        "cell_phase1: eps columns must be non-empty and strictly ascending");
+  }
+  const std::size_t n = index.size();
+  const std::span<const geom::Vec3> points = index.points();
+  // Serial boundary, as in index_phase1: nothing is touched before it.
+  RTD_TRACE_SPAN("engine.phase1");
+  telemetry::count(telemetry::Counter::kEnginePhase1Launches);
+  RTD_FAILPOINT("engine.phase1");
+
+  const Timer timer;
+  EpsCells local;
+  EpsCells& cells = sorted != nullptr && k == 1 ? *sorted : local;
+  cells.eps = eps_columns[k - 1];
+  cells.ids.clear();
+  cells.starts.clear();
+  counts.resize(n * k);
+  const CellLayout layout(points, cells.eps, order);
+  if (!layout.fits) {
+    std::fill(counts.begin(), counts.end(), 0u);
+    return point_counts(index, eps_columns, order, threads, index::kNoCap,
+                        counts);
+  }
+
+  // Every occupied cell, sorted; the counts buffer lends the sort its key
+  // scratch and the starts grow in place of the sort's ping-pong buffer.
+  std::vector<std::uint32_t> starts;
+  const std::size_t n_cells =
+      sort_cells(points, layout, order, threads, cells.ids, counts, starts,
+                 [](std::span<const std::uint32_t>) { return true; });
+  starts.resize(n_cells + 1);
+  starts.shrink_to_fit();  // before the per-cell arrays: a lower peak
+  cells.starts = std::move(starts);
+
+  // Per cell: its key and tight bounds, and the members' coordinates in
+  // CSR order, so candidate loops read contiguous memory.
+  std::vector<std::uint64_t> key(n_cells);
+  std::vector<geom::Aabb> box(n_cells);
+  SortedCoords coords(cells.ids.size());
+  rt::parallel_launch(n_cells, threads,
+                      [&](rt::TraversalStats&, std::size_t c) {
+                        geom::Aabb tight;
+                        for (std::uint32_t r = cells.starts[c];
+                             r < cells.starts[c + 1]; ++r) {
+                          const geom::Vec3& p = points[cells.ids[r]];
+                          coords.x[r] = p.x;
+                          coords.y[r] = p.y;
+                          coords.z[r] = p.z;
+                          tight.grow(p);
+                        }
+                        box[c] = tight;
+                        key[c] = layout.key_of(coords[cells.starts[c]]);
+                      });
+
+  std::fill(counts.begin(), counts.end(), 0u);
+  std::vector<float> eps2(k);
+  for (std::size_t u = 0; u < k; ++u) {
+    eps2[u] = eps_columns[u] * eps_columns[u];
+  }
+  rt::LaunchStats launch =
+      k == 1 ? count_cells<true>(layout, eps2, cells, coords, box, key,
+                                 threads, counts)
+             : count_cells<false>(layout, eps2, cells, coords, box, key,
+                                  threads, counts);
+  launch.seconds = timer.seconds();
+  return launch;
+}
+
+void certify_eps_cells(std::span<const geom::Vec3> points, EpsCells& cells) {
+  RTD_FAILPOINT("engine.cells");
+  const float eps2 = cells.eps * cells.eps;
+  std::vector<std::uint32_t>& ids = cells.ids;
+  std::vector<std::uint32_t>& starts = cells.starts;
+  // Compacted in place like sort_cells' keep pass: the writes trail the
+  // reads, and `begin` carries each cell's start past its overwrite.
+  const std::size_t n_cells = cells.count();
+  std::size_t kept = 0;
+  std::size_t n_kept = 0;
+  std::uint32_t begin = 0;
+  for (std::size_t c = 0; c < n_cells; ++c) {
+    const std::uint32_t end = starts[c + 1];
+    if (is_clique(points, eps2,
+                  std::span<const std::uint32_t>(ids).subspan(
+                      begin, end - begin))) {
+      for (std::uint32_t r = begin; r < end; ++r) ids[kept++] = ids[r];
+      starts[++n_kept] = static_cast<std::uint32_t>(kept);
+    }
+    begin = end;
+  }
+  ids.resize(kept);
+  ids.shrink_to_fit();
+  starts.resize(n_kept > 0 ? n_kept + 1 : 0);
+  starts.shrink_to_fit();
 }
 
 rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,

@@ -23,6 +23,16 @@
 // (rtd::Clusterer) and fdbscan_densebox run phase 2 this way;
 // cluster_with_index, rt_dbscan() and fdbscan() keep the paper's per-point
 // Algorithm 3 (one ray per core point).
+//
+// Cell-batched phase 1 (grid-cell counting, Gan & Tao SIGMOD'15; Wang, Gu
+// & Shun SIGMOD'20): cell_phase1 sorts the points into the same ε-cells
+// once and counts each cell against its neighbor cells, crediting whole
+// cells that box distances prove in range — exact counts, identical to
+// index_phase1's.  Every full recount of a session (run, the heal
+// re-cluster, the shared counting pass of sweep) uses it, and run() hands
+// its sorted cells to phase 2 (certify_eps_cells) instead of grouping
+// again.  Early-exit sessions, the one-shots, fdbscan_densebox and the
+// insert/remove count maintenance keep per-point queries.
 #pragma once
 
 #include <atomic>
@@ -147,6 +157,48 @@ void group_eps_cells(std::span<const geom::Vec3> points, float eps,
                      std::span<const std::uint32_t> order, int threads,
                      EpsCells& cells, std::vector<std::uint32_t>& keys,
                      std::vector<std::uint32_t>& swap);
+
+/// Exact cell-batched phase 1: per-slot ε-neighbor counts (excluding
+/// self) for every column of `eps_columns` (strictly ascending; else
+/// std::invalid_argument), point-major — counts[i * k + u] is slot i's
+/// count at eps_columns[u] — and 0 for slots not in `order`.  Each column
+/// equals index_phase1 at that ε without early exit, bit for bit.
+///
+/// The slots of `order` are sorted into the EpsCellGrid of the largest ε
+/// (group_eps_cells' radix sort, keeping every occupied cell), and each
+/// cell counts against the cells of its ±2 stencil: a cell pair whose box
+/// distance is beyond ε² is skipped, one within ε² credits every member
+/// with no tests, and the rest run a members × candidates loop of
+/// geom::distance_squared(a, b) <= ε * ε — the backends' own predicate.
+/// The box distances are bounds of that same float expression, so a box
+/// decision never disagrees with it.  Work is split into blocks of sorted
+/// positions (a giant cell spreads over many tasks) and every task writes
+/// only its own positions' counts: no atomics, and the counts do not
+/// depend on `threads`.
+///
+/// When the grid exceeds the key range (EpsCellGrid::fits_key_range) the
+/// counts come from per-point queries instead — `index` must then answer
+/// queries at the largest ε — and nothing throws for it.  The returned
+/// stats count one ray per occupied cell, one aabb_test per box test and
+/// one isect_call per distance predicate evaluated; the fallback's are
+/// the per-point launch's (one ray per order entry).  Fires the
+/// engine.phase1 failpoint, span and launch counter before any output is
+/// touched.
+///
+/// With `sorted` non-null and a single column, the cell CSR (every
+/// occupied cell, grid of ε) is left there for certify_eps_cells; it is
+/// empty after a fallback.
+rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
+                            std::span<const float> eps_columns,
+                            std::span<const std::uint32_t> order, int threads,
+                            std::vector<std::uint32_t>& counts,
+                            EpsCells* sorted = nullptr);
+
+/// Reduce cell_phase1's CSR of every occupied cell (in place, then trimmed)
+/// to the certified cells group_eps_cells would have produced at
+/// `cells.eps` — the same cells in the same order, without a second sort.
+/// Fires the engine.cells failpoint before touching `cells`.
+void certify_eps_cells(std::span<const geom::Vec3> points, EpsCells& cells);
 
 /// Phase 2 over any index: concurrent union-find merges initiated by core
 /// points (Alg. 3 lines 7-18); border points claimed atomically through

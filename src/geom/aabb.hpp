@@ -109,4 +109,31 @@ inline float max_distance_squared(const Vec3& p, const Aabb& box) {
          axis(p.z, box.lo.z, box.hi.z);
 }
 
+/// Squared distance between the nearest points of two boxes (0 when they
+/// overlap).  Every per-axis gap is a float difference no larger than that
+/// of any point pair drawn from the two boxes, and the squares add in
+/// distance_squared's x, y, z order; rounding is monotone, so a result
+/// beyond ε² proves no pair is within ε² under distance_squared.
+inline float min_distance_squared(const Aabb& a, const Aabb& b) {
+  const auto axis = [](float alo, float ahi, float blo, float bhi) {
+    const float d = blo > ahi ? blo - ahi : (alo > bhi ? alo - bhi : 0.0f);
+    return d * d;
+  };
+  return axis(a.lo.x, a.hi.x, b.lo.x, b.hi.x) +
+         axis(a.lo.y, a.hi.y, b.lo.y, b.hi.y) +
+         axis(a.lo.z, a.hi.z, b.lo.z, b.hi.z);
+}
+
+/// Squared distance between the farthest corners of two boxes: within ε²
+/// it proves every pair drawn from them is within ε² (same argument).
+inline float max_distance_squared(const Aabb& a, const Aabb& b) {
+  const auto axis = [](float alo, float ahi, float blo, float bhi) {
+    const float d = std::max(std::abs(bhi - alo), std::abs(ahi - blo));
+    return d * d;
+  };
+  return axis(a.lo.x, a.hi.x, b.lo.x, b.hi.x) +
+         axis(a.lo.y, a.hi.y, b.lo.y, b.hi.y) +
+         axis(a.lo.z, a.hi.z, b.lo.z, b.hi.z);
+}
+
 }  // namespace rtd::geom

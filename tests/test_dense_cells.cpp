@@ -1,18 +1,23 @@
-// Cell-aware phase 2 in the session engine: every Clusterer phase 2 groups
+// Cell-aware phases in the session engine: every Clusterer phase 2 groups
 // the live points by ε-cell, pre-unions the all-core cells and merges each
-// with one box query.  The clustering must stay equivalent to the
-// sequential reference on every backend, at every thread count, through
-// run, min_pts rerun and sweep — including the inputs that stress the
-// grouping: one giant cell, cells mixing core and border members, flat and
-// 3-D data, extents beyond the cell-key range, and tombstoned slots.
+// with one box query, and every full recount (run, heal, the shared pass of
+// sweep) counts ε-neighbors cell by cell.  The clustering must stay
+// equivalent to the sequential reference, and the counts identical to the
+// per-point phase 1, on every backend, at every thread count, through run,
+// min_pts rerun and sweep — including the inputs that stress the cells:
+// one giant cell, cells mixing core and border members, a lattice on the
+// predicate's boundary, flat and 3-D data, extents beyond the cell-key
+// range, and tombstoned slots.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/failpoint.hpp"
 #include "core/clusterer.hpp"
 #include "data/generators.hpp"
+#include "dbscan/engine.hpp"
 #include "dbscan/equivalence.hpp"
 #include "dbscan/sequential.hpp"
 #include "index/neighbor_index.hpp"
@@ -86,6 +91,65 @@ void check_matrix(const std::vector<Vec3>& pts, float eps,
   }
 }
 
+/// The per-point phase 1 of `kind` over the session's live points, mapped
+/// back to slots (0 for tombstoned ones): what every session count must
+/// equal exactly.
+std::vector<std::uint32_t> per_point_counts(const Clusterer& session,
+                                            float eps, IndexKind kind) {
+  std::vector<Vec3> live_pts;
+  std::vector<std::uint32_t> slot;
+  for (std::uint32_t i = 0; i < session.size(); ++i) {
+    if (!session.is_live(i)) continue;
+    live_pts.push_back(session.points()[i]);
+    slot.push_back(i);
+  }
+  const auto index = index::make_index(live_pts, eps, kind);
+  std::vector<std::uint32_t> order(live_pts.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::uint32_t> dense;
+  (void)dbscan::index_phase1(*index, {eps, 1, kind}, order, false, 1, dense);
+  std::vector<std::uint32_t> out(session.size(), 0);
+  for (std::size_t k = 0; k < slot.size(); ++k) out[slot[k]] = dense[k];
+  return out;
+}
+
+/// run and every sweep entry on every backend and thread count: the
+/// result's neighbor_counts equal the per-point phase 1 bit for bit.
+/// `removed` slots are tombstoned first, and the run then recounts at a
+/// fresh ε (a run at the maintained ε would reuse the counts).
+void check_counts(const std::vector<Vec3>& pts, float eps,
+                  std::uint32_t min_pts, const std::string& name,
+                  const std::vector<std::uint32_t>& removed = {}) {
+  const std::vector<float> ladder{0.8f * eps, eps, 1.2f * eps};
+  for (const IndexKind kind : index::kAllIndexKinds) {
+    for (const int threads : kThreadCounts) {
+      const std::string what = name + " / " + index::to_string(kind) +
+                               " / threads " + std::to_string(threads);
+      Clusterer session(pts,
+                        Options().with_backend(kind).with_threads(threads));
+      float run_eps = eps;
+      if (!removed.empty()) {
+        (void)session.run(eps, min_pts);
+        session.remove(removed);
+        run_eps = 0.9f * eps;
+      }
+      const ClusterResult& r = session.run(run_eps, min_pts);
+      EXPECT_FALSE(r.stats.counts_reused) << what;
+      EXPECT_EQ(r.neighbor_counts, per_point_counts(session, run_eps, kind))
+          << what << " / run";
+      const std::vector<ClusterResult> swept =
+          session.sweep(ladder, min_pts);
+      ASSERT_EQ(swept.size(), ladder.size());
+      EXPECT_GT(swept[0].stats.phase1.work.rays, 0u) << what;
+      for (std::size_t v = 0; v < swept.size(); ++v) {
+        EXPECT_EQ(swept[v].neighbor_counts,
+                  per_point_counts(session, ladder[v], kind))
+            << what << " / sweep " << v;
+      }
+    }
+  }
+}
+
 TEST(ClustererDenseCells, TaxiGpsParityAcrossBackendsAndThreads) {
   const auto dataset = data::taxi_gps(1200, 101);
   check_matrix(dataset.points, 0.3f, 8, "taxi_gps");
@@ -138,10 +202,80 @@ TEST(ClustererDenseCells, KeysWiderThan32BitsStillGroup) {
   EXPECT_LT(r.stats.phase2.work.rays, core_count(r));
 }
 
+TEST(ClustererDenseCells, CountsMatchPerPointPhase1) {
+  check_counts(data::taxi_gps(1200, 101).points, 0.3f, 8, "taxi_gps");
+  std::vector<Vec3> dups(100, Vec3::xy(5.0f, 5.0f));
+  for (int i = 0; i < 20; ++i) {
+    dups.push_back(Vec3::xy(20.0f + 3.0f * static_cast<float>(i), 40.0f));
+  }
+  check_counts(dups, 1.0f, 10, "duplicates");
+  check_counts(data::uniform_cube(1200, 10.0f, 2, 102).points, 0.6f, 6,
+               "flat uniform");
+  check_counts(data::gaussian_blobs(1200, 2, 0.2f, 10.0f, 3, 103).points,
+               0.5f, 10, "3-D blobs");
+  check_counts(data::taxi_gps(1000, 105).points, 0.3f, 8, "after remove",
+               [] {
+                 std::vector<std::uint32_t> gone;
+                 for (std::uint32_t i = 0; i < 1000; i += 7) gone.push_back(i);
+                 return gone;
+               }());
+}
+
+TEST(ClustererDenseCells, CountsMatchOnTheEpsBoundary) {
+  // Lattices spaced exactly ε (0.5: every axis neighbor at d² == ε²
+  // exactly) and ε in float arithmetic (0.3f: rounding puts some pairs a
+  // hair inside, others a hair outside).  Every decision a box test takes
+  // must agree with the per-pair predicate.
+  for (const float eps : {0.5f, 0.3f}) {
+    std::vector<Vec3> pts;
+    for (int y = 0; y < 20; ++y) {
+      for (int x = 0; x < 20; ++x) {
+        pts.push_back(Vec3::xy(eps * static_cast<float>(x),
+                               eps * static_cast<float>(y)));
+      }
+    }
+    check_counts(pts, eps, 4, "lattice " + std::to_string(eps));
+  }
+}
+
+TEST(ClustererDenseCells, CellCountWorkSemantics) {
+  // The cell path reports one ray per occupied cell, one aabb_test per box
+  // test and one isect_call per distance predicate; it walks no tree.
+  // 100 duplicates share one cell whose diagonal is 0 and 20 points spaced
+  // 3ε apart sit alone: 21 cells, and no pair needs a distance test.
+  std::vector<Vec3> pts(100, Vec3::xy(5.0f, 5.0f));
+  for (int i = 0; i < 20; ++i) {
+    pts.push_back(Vec3::xy(20.0f + 3.0f * static_cast<float>(i), 40.0f));
+  }
+  for (const IndexKind kind : index::kAllIndexKinds) {
+    Clusterer session(pts, Options().with_backend(kind));
+    const ClusterResult& r = session.run(1.0f, 10);
+    const rt::TraversalStats& w = r.stats.phase1.work;
+    EXPECT_EQ(w.rays, 21u) << index::to_string(kind);
+    EXPECT_GT(w.aabb_tests, 0u) << index::to_string(kind);
+    EXPECT_EQ(w.isect_calls, 0u) << index::to_string(kind);
+    EXPECT_EQ(w.nodes_visited, 0u) << index::to_string(kind);
+    EXPECT_EQ(r.neighbor_counts[0], 99u);
+    EXPECT_EQ(r.neighbor_counts[100], 0u);
+
+    // The sweep's shared pass is charged to entry 0 (cells of ε_max);
+    // later entries reuse it.
+    const std::vector<ClusterResult> swept =
+        session.sweep(std::vector<float>{0.8f, 1.0f, 1.2f}, 10);
+    EXPECT_EQ(swept[0].stats.phase1.work.rays, 21u);
+    EXPECT_EQ(swept[1].stats.phase1.work.rays, 0u);
+  }
+  // A taxi_gps blob: fewer cells (rays) than points.
+  const auto blob = data::taxi_gps(3000, 106);
+  Clusterer session(blob.points, Options());
+  EXPECT_LT(session.run(0.3f, 8).stats.phase1.work.rays, blob.points.size());
+}
+
 TEST(ClustererDenseCells, ExtentBeyondTheCellKeyRangeFallsBack) {
   // One point 1e6 away: the cell grid would need ~5e6 cells on the x axis,
   // beyond the 2^20 a packed key addresses.  The session must not throw;
-  // it falls back to per-point phase 2 (one ray per core point).  The
+  // it falls back to per-point phases 1 and 2 (one ray per live point,
+  // then one per core point).  The
   // dense-box backend's own grid has the same range and rejects the input
   // at index build, as it always has.
   const auto blob = data::taxi_gps(600, 104);
@@ -157,6 +291,17 @@ TEST(ClustererDenseCells, ExtentBeyondTheCellKeyRangeFallsBack) {
       }
       const ClusterResult& r = session.run(0.3f, 8);
       EXPECT_EQ(r.stats.phase2.work.rays, core_count(r))
+          << index::to_string(kind);
+      // Phase 1 falls back to one per-point query per live point, with
+      // the same counts.
+      EXPECT_EQ(r.stats.phase1.work.rays, pts.size())
+          << index::to_string(kind);
+      EXPECT_EQ(r.neighbor_counts, per_point_counts(session, 0.3f, kind))
+          << index::to_string(kind);
+      const std::vector<ClusterResult> swept =
+          session.sweep(std::vector<float>{0.25f, 0.3f}, 8);
+      EXPECT_EQ(swept[0].neighbor_counts,
+                per_point_counts(session, 0.25f, kind))
           << index::to_string(kind);
       expect_oracle_parity(session, r,
                            std::string("key range / ") +
@@ -243,6 +388,34 @@ TEST(ClustererDenseCells, GroupingFaultDegradesThenNextWriterCallHeals) {
   (void)session.insert(std::vector<Vec3>{{2.0f, 2.0f, 0.0f}});
   EXPECT_EQ(session.health(), SessionHealth::kHealthy);
   expect_oracle_parity(session, session.result(), "healed");
+}
+
+TEST(ClustererDenseCells, Phase1FaultDuringSweepKeepsThePreviousResult) {
+  if (!fail::compiled_in()) {
+    GTEST_SKIP() << "build compiled without RTDBSCAN_FAILPOINTS=ON";
+  }
+  fail::disarm_all();
+  const auto base = data::taxi_gps(400, 109);
+  Clusterer session(base.points, Options());
+  const ClusterResult before = session.run(0.3f, 8);
+
+  // The shared counting pass faults at its serial boundary, before any
+  // entry touched the result: strong guarantee.
+  const std::vector<float> ladder{0.25f, 0.3f, 0.35f};
+  const std::uint64_t fired = fail::fire_count("engine.phase1");
+  fail::arm("engine.phase1", {.action = fail::Action::kThrowBadAlloc});
+  EXPECT_THROW((void)session.sweep(ladder, 8), std::bad_alloc);
+  EXPECT_EQ(fail::fire_count("engine.phase1"), fired + 1);
+  fail::disarm_all();
+  EXPECT_EQ(session.health(), SessionHealth::kHealthy);
+  EXPECT_EQ(session.result().eps, before.eps);
+  EXPECT_EQ(session.result().labels, before.labels);
+  EXPECT_EQ(session.result().neighbor_counts, before.neighbor_counts);
+  expect_oracle_parity(session, session.result(), "after the fault");
+
+  const std::vector<ClusterResult> swept = session.sweep(ladder, 8);
+  ASSERT_EQ(swept.size(), ladder.size());
+  expect_oracle_parity(session, swept.back(), "retried sweep");
 }
 
 }  // namespace

@@ -283,6 +283,19 @@ TEST_F(TelemetryArmed, HistogramSemanticsAndQuantiles) {
                    telemetry::histogram_bucket_bound_seconds(1));
 }
 
+TEST_F(TelemetryArmed, EveryFullRecountIsOnePhase1Launch) {
+  // run at a new ε and sweep's shared pass each count once; a min_pts
+  // rerun reuses the cached counts and launches nothing.
+  const auto dataset = data::taxi_gps(400, 41);
+  Clusterer session(dataset.points, Options());
+  (void)session.run(0.3f, 8);
+  (void)session.run(0.3f, 16);
+  (void)session.sweep(std::vector<float>{0.25f, 0.3f, 0.35f}, 8);
+  EXPECT_EQ(telemetry::snapshot().counter(
+                telemetry::Counter::kEnginePhase1Launches),
+            2u);
+}
+
 TEST_F(TelemetryArmed, DisarmedUpdatesAreDropped) {
   telemetry::count(telemetry::Counter::kSessionRuns);
   telemetry::disarm_all();

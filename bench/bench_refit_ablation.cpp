@@ -3,12 +3,12 @@
 // BVH's topology depends only on the centers, so a new ε needs only a
 // bounds refit — the OptiX accel-update path.
 //
-//   ./bench_refit_ablation [--scale F] [--reps N]
+//   ./bench_refit_ablation [--scale F] [--reps N] [--n N]
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "core/rt_dbscan.hpp"
+#include "core/clusterer.hpp"
 #include "data/generators.hpp"
 #include "rt/context.hpp"
 
@@ -51,16 +51,20 @@ int main(int argc, char** argv) {
     table.print();
   }
 
-  // End-to-end check: a refit runner sweep produces the same clusterings.
-  std::printf("\nend-to-end eps sweep with RtDbscanRunner::set_eps:\n");
-  core::RtDbscanRunner runner(dataset.points, eps_sweep.front());
+  // End-to-end: one session over the RT sphere scene steps through the
+  // same eps values, refitting its scene at each step.
+  std::printf("\nend-to-end eps steps with one Clusterer session (kBvhRt):\n");
+  Clusterer session(dataset.points,
+                    Options().with_backend(index::IndexKind::kBvhRt));
   for (const float eps : eps_sweep) {
-    runner.set_eps(eps);
     Timer t;
-    const auto r = runner.run(25);
-    std::printf("  eps=%.2f: %u clusters, %zu noise, %.1f ms\n",
-                static_cast<double>(eps), r.clustering.cluster_count,
-                r.clustering.noise_count(), t.millis());
+    const ClusterResult& r = session.run(eps, 25);
+    std::printf("  eps=%.2f: %u clusters, %zu noise, %.1f ms (%s)\n",
+                static_cast<double>(eps), r.cluster_count, r.noise_count(),
+                t.millis(),
+                r.stats.index_refitted  ? "refit"
+                : r.stats.index_rebuilt ? "build"
+                                        : "reused");
   }
   return 0;
 }

@@ -1,14 +1,16 @@
 // §VI-B payoff: because RT-DBSCAN always runs the full traversal, it knows
 // every point's exact neighbor count; re-running with a different minPts
 // skips core identification entirely.  This bench measures a minPts sweep
-// with and without the cache.
+// with and without the cache: a fresh rtd::Clusterer session per minPts
+// against one session, both over the RT sphere scene (kBvhRt).  Both sides
+// count phase 1 the same way, so the speedup is the cache's alone.
 //
-//   ./bench_rerun_cache [--scale F] [--reps N]
+//   ./bench_rerun_cache [--scale F] [--reps N] [--n N] [--eps E]
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "core/rt_dbscan.hpp"
+#include "core/clusterer.hpp"
 #include "data/generators.hpp"
 
 int main(int argc, char** argv) {
@@ -25,28 +27,28 @@ int main(int argc, char** argv) {
   const auto dataset = data::taxi_gps(n, 2023);
   const std::vector<std::uint32_t> sweep{5, 10, 20, 50, 100, 200};
 
-  // Cold: a fresh one-shot run per minPts (what an early-exit system that
+  const Options options = Options().with_backend(index::IndexKind::kBvhRt);
+
+  // Cold: a fresh session per minPts (what an early-exit system that
   // discarded counts would have to do).
   double cold_total = 0.0;
   for (const auto mp : sweep) {
     cold_total += bench::time_median(cfg.reps, [&] {
-      core::rt_dbscan(dataset.points, {eps, mp});
+      Clusterer session(dataset.points, options);
+      (void)session.run(eps, mp);
     });
   }
 
-  // Warm: one RtDbscanRunner; phase 1 runs once.
+  // Warm: one session; phase 1 runs once.
   const double warm_total = bench::time_median(cfg.reps, [&] {
-    core::RtDbscanRunner runner(dataset.points, eps);
-    for (const auto mp : sweep) {
-      const auto r = runner.run(mp);
-      (void)r;
-    }
+    Clusterer session(dataset.points, options);
+    for (const auto mp : sweep) (void)session.run(eps, mp);
   });
 
   Table table({"strategy", "total time", "speedup"});
-  table.add_row({"one-shot per minPts (6 runs)", Table::seconds(cold_total),
+  table.add_row({"fresh session per minPts (6 runs)", Table::seconds(cold_total),
                  "1.00x"});
-  table.add_row({"cached counts (runner)", Table::seconds(warm_total),
+  table.add_row({"cached counts (session)", Table::seconds(warm_total),
                  Table::speedup(cold_total / warm_total)});
   if (cfg.csv) {
     table.print_csv();
@@ -54,15 +56,15 @@ int main(int argc, char** argv) {
     table.print();
   }
 
-  // Per-run detail with the runner.
-  std::printf("\nper-run detail (runner):\n");
-  core::RtDbscanRunner runner(dataset.points, eps);
+  // Per-run detail with the session.
+  std::printf("\nper-run detail (session):\n");
+  Clusterer session(dataset.points, options);
   for (const auto mp : sweep) {
     Timer t;
-    const auto r = runner.run(mp);
+    const ClusterResult& r = session.run(eps, mp);
     std::printf("  minPts=%-4u %8.2f ms  (phase1 %s)  clusters=%u\n", mp,
-                t.millis(), r.phase1.work.rays > 0 ? "computed" : "cached",
-                r.clustering.cluster_count);
+                t.millis(), r.stats.counts_reused ? "cached" : "computed",
+                r.cluster_count);
   }
   return 0;
 }

@@ -15,6 +15,7 @@
 #include "dbscan/engine.hpp"
 #include "dbscan/equivalence.hpp"
 #include "index/compacted_index.hpp"
+#include "index/triangle_index.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace rtd {
@@ -65,7 +66,7 @@ struct Clusterer::Impl {
   std::span<const Vec3> pts;
   Options opts;
 
-  // --- sphere geometry: the NeighborIndex session state -------------------
+  // --- the NeighborIndex session state ------------------------------------
   /// Built at the first run.  Shared (not unique) so a published
   /// IndexSnapshot can keep the structure alive after the session swaps to
   /// a replacement.
@@ -109,9 +110,6 @@ struct Clusterer::Impl {
   Mutex publish_mu;
   std::atomic<std::shared_ptr<const IndexSnapshot>> published;
   bool index_shared RTD_GUARDED_BY(publish_mu) = false;
-
-  // --- triangle geometry (§VI-C): delegate to the RT runner ---------------
-  std::optional<core::RtDbscanRunner> runner;
 
   // Neighbor-count cache: counts are a pure function of (points, eps), so
   // they survive index refits/rebuilds and min_pts changes at the same eps.
@@ -190,27 +188,10 @@ struct Clusterer::Impl {
     return o;
   }
 
-  [[nodiscard]] core::RtDbscanOptions runner_options() const {
-    core::RtDbscanOptions o;
-    o.geometry = core::GeometryMode::kTriangles;
-    o.triangle_subdivisions = opts.triangle_subdivisions;
-    o.reorder_queries = opts.reorder_queries;
-    o.device.build.width = opts.width;
-    o.device.threads = opts.threads;
-    return o;
-  }
-
-  /// The traversal layout RunStats reports: the resolved layout of the
-  /// tree-backed backends, kBinary for the others (no BVH walk).  Called
-  /// only after ensure_index(), so the accel exists and is the source of
-  /// truth for the triangle count (its guards may drop degenerate inputs).
+  /// The traversal layout RunStats reports: the layout the index's build
+  /// resolved.  Called only after ensure_index(), so the index exists.
   [[nodiscard]] rt::TraversalWidth stats_width() const {
-    if (opts.geometry == core::GeometryMode::kTriangles) {
-      return rt::resolved_traversal_width(opts.width, runner->prim_count());
-    }
-    return resolved == IndexKind::kPointBvh || resolved == IndexKind::kBvhRt
-               ? rt::resolved_traversal_width(opts.width, pts.size())
-               : rt::TraversalWidth::kBinary;
+    return index->traversal_width();
   }
 
   [[nodiscard]] bool is_live_slot(std::size_t i) const {
@@ -247,13 +228,23 @@ struct Clusterer::Impl {
   /// full span would resurrect them.  Caller holds publish_mu whenever a
   /// snapshot could exist.  Resets the absorbed-mutation budget.
   void build_index_now(float eps) RTD_REQUIRES(publish_mu) {
+    const bool triangles = opts.geometry == core::GeometryMode::kTriangles;
     if (resolved == IndexKind::kAuto) {
-      resolved = opts.backend == IndexKind::kAuto
+      // Triangle geometry (§VI-C) is an RT scene: it reports kBvhRt.
+      resolved = triangles ? IndexKind::kBvhRt
+                 : opts.backend == IndexKind::kAuto
                      ? index::choose_index_kind(pts, eps)
                      : opts.backend;
     }
     index.reset();  // release the old structure before building anew
-    if (dead_count == 0) {
+    if (triangles) {
+      // Never tombstoned: triangle sessions refuse mutations.
+      rt::Context::Options device;
+      device.build.width = opts.width;
+      device.threads = opts.threads;
+      index = std::make_shared<index::TriangleIndex>(
+          pts, eps, opts.triangle_subdivisions, device);
+    } else if (dead_count == 0) {
       index = index::make_index(pts, eps, resolved, build_options());
     } else {
       index = std::make_shared<index::CompactedIndex>(
@@ -282,22 +273,6 @@ struct Clusterer::Impl {
   /// does not.  Records what happened and what it cost.
   EnsureStats ensure_index(float eps) {
     EnsureStats es;
-    if (opts.geometry == core::GeometryMode::kTriangles) {
-      if (!runner.has_value()) {
-        Timer t;
-        runner.emplace(std::vector<Vec3>(pts.begin(), pts.end()), eps,
-                       runner_options());
-        resolved = IndexKind::kBvhRt;  // triangle mode IS the RT pipeline
-        es.rebuilt = true;
-        es.seconds = t.seconds();
-      } else if (eps != runner->eps()) {
-        Timer t;
-        runner->set_eps(eps);  // rescale + refit, no retessellation
-        es.refitted = true;
-        es.seconds = t.seconds();
-      }
-      return es;
-    }
     if (!index) {
       Timer t;
       const MutexLock lock(publish_mu);
@@ -364,7 +339,7 @@ struct Clusterer::Impl {
     if (opts.geometry == core::GeometryMode::kTriangles) {
       throw std::logic_error(
           "Clusterer: snapshots serve sphere-geometry sessions only (the "
-          "triangle accel is not a point-query structure)");
+          "serving layer does not cover the §VI-C triangle experiment)");
     }
     std::shared_ptr<const IndexSnapshot> snap = published.load();
     if (snap) return snap;
@@ -538,50 +513,6 @@ struct Clusterer::Impl {
       params_valid = true;
       set_health(SessionHealth::kHealthy);
       result_current = true;  // an empty session may stream from here
-      telemetry::observe(telemetry::Histogram::kRunLatency, r.seconds);
-      return r;
-    }
-
-    if (opts.geometry == core::GeometryMode::kTriangles) {
-      core::RtDbscanResult rr;
-      EnsureStats es;
-      bool counts_reused = false;
-      try {
-        es = ensure_index(eps);
-        counts_reused = runner->counts_cached();
-        rr = runner->run(min_pts);
-      } catch (...) {
-        restore_metadata();  // strong: the runner computed into locals
-        throw;
-      }
-      r.labels = std::move(rr.clustering.labels);
-      r.is_core = std::move(rr.clustering.is_core);
-      r.cluster_count = rr.clustering.cluster_count;
-      r.neighbor_counts = std::move(rr.neighbor_counts);
-      r.stats.backend = IndexKind::kBvhRt;
-      r.stats.width = stats_width();
-      r.stats.index_rebuilt = es.rebuilt;
-      r.stats.index_refitted = es.refitted;
-      r.stats.counts_reused = counts_reused;
-      r.stats.phase1 = rr.phase1;
-      r.stats.phase2 = rr.phase2;
-      r.stats.timings = rr.clustering.timings;
-      r.stats.timings.index_build_seconds = es.seconds;
-      last_eps = eps;
-      last_min_pts = min_pts;
-      params_valid = true;
-      try {
-        build_membership();
-      } catch (...) {
-        // Labels are the new run's, members the old run's: torn.
-        set_health(SessionHealth::kDegraded);
-        result_current = false;
-        throw;
-      }
-      r.stats.timings.total_seconds = total.seconds();
-      r.seconds = r.stats.timings.total_seconds;
-      set_health(SessionHealth::kHealthy);
-      result_current = true;
       telemetry::observe(telemetry::Histogram::kRunLatency, r.seconds);
       return r;
     }
@@ -1600,10 +1531,8 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   telemetry::count(telemetry::Counter::kSessionSweeps);
   const telemetry::LatencyTimer sweep_lat(telemetry::Histogram::kSweepLatency);
 
-  // Triangle sessions (and trivially empty ones) sweep by plain reruns —
-  // the runner already refits per step.
-  if (im.opts.geometry == core::GeometryMode::kTriangles ||
-      im.pts.empty()) {
+  // Empty sessions sweep by plain reruns (there is nothing to count).
+  if (im.pts.empty()) {
     for (const float eps : eps_values) {
       out.push_back(run(eps, min_pts));
       telemetry::count(telemetry::Counter::kSessionSweepEntries);
@@ -1740,18 +1669,7 @@ std::vector<std::uint32_t> Clusterer::query_neighbors(const Vec3& center,
   validate_center(center);
   Impl& im = *impl_;
   std::vector<std::uint32_t> ids;
-  if (im.opts.geometry == core::GeometryMode::kTriangles ||
-      im.pts.empty()) {
-    // The triangle accel answers finite-ray queries, not point queries —
-    // enumerate exactly instead of faking a ray.
-    const float eps2 = eps * eps;
-    for (std::uint32_t j = 0; j < im.pts.size(); ++j) {
-      if (geom::distance_squared(center, im.pts[j]) <= eps2) {
-        ids.push_back(j);
-      }
-    }
-    return ids;
-  }
+  if (im.pts.empty()) return ids;  // no index to build over nothing
   im.ensure_index(eps);
   rt::TraversalStats stats;
   im.index->query_sphere(center, eps, index::kNoSelf,
@@ -1851,19 +1769,12 @@ index::IndexKind Clusterer::backend() const { return impl_->resolved; }
 
 std::optional<float> Clusterer::current_eps() const {
   const Impl& im = *impl_;
-  if (im.opts.geometry == core::GeometryMode::kTriangles) {
-    if (!im.runner.has_value()) return std::nullopt;
-    return im.runner->eps();
-  }
   if (!im.index) return std::nullopt;
   return im.index_eps;
 }
 
 bool Clusterer::counts_cached() const {
   const Impl& im = *impl_;
-  if (im.opts.geometry == core::GeometryMode::kTriangles) {
-    return im.runner.has_value() && im.runner->counts_cached();
-  }
   // The cache is keyed on ε alone (counts are a pure function of points
   // and ε) — it can outlive the index's current build ε, e.g. after a
   // sweep on a rebuild-only backend.

@@ -20,20 +20,20 @@
 //   * first run builds the index (backend per Options, kAuto resolved once
 //     from the data and pinned for the session's lifetime);
 //   * an eps change REFITS the index in place where the backend supports it
-//     (NeighborIndex::try_set_eps: kBvhRt refits the sphere scene, kPointBvh
-//     and kBruteForce are radius-agnostic) and rebuilds only where it
-//     cannot (kGrid / kDenseBox re-bin their cells);
+//     (NeighborIndex::try_set_eps: kBvhRt refits the sphere scene — or,
+//     in triangle geometry, index::TriangleIndex rescales its mesh —
+//     kPointBvh and kBruteForce are radius-agnostic) and rebuilds only
+//     where it cannot (kGrid / kDenseBox re-bin their cells);
 //   * a min_pts-only change reuses the cached neighbor counts and pays just
 //     the cluster-formation phase (§VI-B).
 // Which of those paths a run took is recorded in ClusterResult::stats.
 //
 // run() returns a reference to session-owned storage: the result is valid
 // until the next run()/sweep() or the session's destruction — copy it
-// (ClusterResult is a regular value type) to keep it.  For sphere-geometry
-// sessions (every IndexKind), warm run() calls reuse every internal buffer
-// and perform no heap allocations (tests/test_query_alloc.cpp enforces
-// this); triangle-geometry sessions delegate to RtDbscanRunner, whose runs
-// allocate their result vectors.
+// (ClusterResult is a regular value type) to keep it.  Warm run() calls
+// reuse every internal buffer and perform no heap allocations, on every
+// IndexKind and in triangle geometry (tests/test_query_alloc.cpp enforces
+// this): a triangle session is the same session over index::TriangleIndex.
 //
 // Live sessions (streaming / incremental maintenance):
 //   * insert(points) appends new points, remove(ids) tombstones existing
@@ -430,9 +430,7 @@ class Clusterer {
   /// path.  Throws std::invalid_argument on a non-finite `center` or a
   /// non-positive/non-finite `eps` — validated BEFORE the index is touched,
   /// so a garbage request can never drive a degenerate retarget.  `center`
-  /// is treated as off-dataset: no self exclusion.  Triangle-geometry
-  /// sessions answer with an exact scan (their accel is not a point-query
-  /// structure).
+  /// is treated as off-dataset: no self exclusion.
   std::vector<std::uint32_t> query_neighbors(const geom::Vec3& center,
                                              float eps);
   /// Same, for dataset point `i` (excluded from its own neighborhood).
@@ -449,8 +447,8 @@ class Clusterer {
   /// switches to a replacement structure instead of mutating this one.
   /// Throws std::logic_error before the first run()/sweep() (kAuto needs an
   /// ε to resolve against, so there is no index yet) and on
-  /// triangle-geometry sessions (their accel is not a point-query
-  /// structure; the serving layer is sphere-geometry only).
+  /// triangle-geometry sessions (the serving layer is sphere-geometry
+  /// only).
   [[nodiscard]] std::shared_ptr<const IndexSnapshot> snapshot() const;
 
   /// Genuinely const read: the ε-neighbors of `center` at the SNAPSHOT's

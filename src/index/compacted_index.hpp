@@ -46,6 +46,9 @@ class CompactedIndex final : public NeighborIndex {
   [[nodiscard]] float build_eps() const override {
     return inner_->build_eps();
   }
+  [[nodiscard]] rt::TraversalWidth traversal_width() const override {
+    return inner_->traversal_width();
+  }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,

@@ -81,6 +81,13 @@ class NeighborIndex {
   /// accept any radius.  A violation throws std::invalid_argument.
   [[nodiscard]] virtual float build_eps() const = 0;
 
+  /// The BVH layout queries walk: kBinary or kWide on the tree backends
+  /// (as their build resolved rt::BuildOptions::width), kBinary on the
+  /// others.  RunStats::width in the session API reports it.
+  [[nodiscard]] virtual rt::TraversalWidth traversal_width() const {
+    return rt::TraversalWidth::kBinary;
+  }
+
   /// Retarget the index to a new build ε WITHOUT a rebuild, where the
   /// backend supports it.  Returns true on success — build_eps() now
   /// reports `eps` and queries at `eps` satisfy the radius constraint —

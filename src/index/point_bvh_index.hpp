@@ -29,6 +29,10 @@ class PointBvhIndex final : public NeighborIndex {
     return points_;
   }
   [[nodiscard]] float build_eps() const override { return eps_; }
+  [[nodiscard]] rt::TraversalWidth traversal_width() const override {
+    return wide_.empty() ? rt::TraversalWidth::kBinary
+                         : rt::TraversalWidth::kWide;
+  }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,

@@ -30,6 +30,9 @@ struct QueryScratch {
   std::vector<std::uint32_t> neighbors;
   /// Cluster-expansion worklist / frontier buffer.
   std::vector<std::uint32_t> worklist;
+  /// A backend's own per-query staging (TriangleIndex's owner dedup).  Kept
+  /// apart from the two above, which callers hold across queries.
+  std::vector<std::uint32_t> owners;
 
   /// This thread's arena.
   static QueryScratch& local() {
@@ -51,6 +54,12 @@ struct QueryScratch {
   std::vector<std::uint32_t>& acquire_worklist() {
     worklist.clear();
     return worklist;
+  }
+
+  /// Borrow `owners`, cleared (capacity retained).
+  std::vector<std::uint32_t>& acquire_owners() {
+    owners.clear();
+    return owners;
   }
 };
 

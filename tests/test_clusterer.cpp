@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/api.hpp"
+#include "core/rt_dbscan.hpp"
 #include "data/generators.hpp"
 #include "dbscan_test_util.hpp"
 
@@ -28,9 +30,9 @@ using index::IndexKind;
 /// may legally tie-break differently across runs on multi-core hosts.
 void expect_identical_clustering(std::span<const Vec3> points,
                                  const Params& params,
-                                 const ClusterResult& actual,
-                                 const ClusterResult& expected,
-                                 const char* what) {
+                                 const dbscan::Clustering& actual,
+                                 const dbscan::Clustering& expected,
+                                 const std::string& what) {
   ASSERT_EQ(actual.labels.size(), expected.labels.size()) << what;
   EXPECT_EQ(actual.is_core, expected.is_core) << what;
   EXPECT_EQ(actual.cluster_count, expected.cluster_count) << what;
@@ -38,9 +40,30 @@ void expect_identical_clustering(std::span<const Vec3> points,
     EXPECT_EQ(actual.labels[i] == kNoise, expected.labels[i] == kNoise)
         << what << ": noise set differs at point " << i;
   }
-  const auto eq = dbscan::check_equivalent(
-      points, params, expected.to_clustering(), actual.to_clustering());
+  const auto eq = dbscan::check_equivalent(points, params, expected, actual);
   EXPECT_TRUE(eq.equivalent) << what << ": " << eq.reason;
+}
+
+void expect_identical_clustering(std::span<const Vec3> points,
+                                 const Params& params,
+                                 const ClusterResult& actual,
+                                 const ClusterResult& expected,
+                                 const std::string& what) {
+  expect_identical_clustering(points, params, actual.to_clustering(),
+                              expected.to_clustering(), what);
+}
+
+/// A session run against the rt_dbscan one-shot of the same geometry:
+/// identical clustering plus exact neighbor counts.
+void expect_matches_rt_oneshot(std::span<const Vec3> points,
+                               const Params& params, const ClusterResult& r,
+                               const core::RtDbscanOptions& options,
+                               const std::string& what) {
+  const core::RtDbscanResult oneshot =
+      core::rt_dbscan(points, params, options);
+  expect_identical_clustering(points, params, r.to_clustering(),
+                              oneshot.clustering, what);
+  EXPECT_EQ(r.neighbor_counts, oneshot.neighbor_counts) << what;
 }
 
 const std::vector<float> kSweepEps = {0.18f, 0.28f, 0.4f, 0.55f};
@@ -146,25 +169,65 @@ TEST(ClustererSweep, MatchesOneShotAcrossTraversalWidths) {
 TEST(Clusterer, MinPtsRerunReusesCountsAndMatchesOneShot) {
   const auto dataset = data::taxi_gps(3000, 63);
   const float eps = 0.3f;
-  Clusterer session(dataset.points);
-  EXPECT_FALSE(session.counts_cached());
-  (void)session.run(eps, 5);
-  EXPECT_TRUE(session.counts_cached());
-  for (const std::uint32_t min_pts : {20u, 3u, 50u}) {
-    const ClusterResult& r = session.run(eps, min_pts);
-    EXPECT_TRUE(r.stats.counts_reused) << min_pts;
-    EXPECT_FALSE(r.stats.index_rebuilt);
-    EXPECT_FALSE(r.stats.index_refitted);
-    EXPECT_EQ(r.stats.phase1.work.rays, 0u);  // phase 1 did not run
-    const ClusterResult fresh = cluster(dataset.points, eps, min_pts);
-    expect_identical_clustering(dataset.points, Params{eps, min_pts}, r,
-                                fresh, "minPts rerun");
+  // The kAuto session against rtd::cluster, and the paper's RT sphere scene
+  // with Morton-ordered launches against the rt_dbscan one-shot.
+  const core::RtDbscanOptions rt_options;
+  for (const bool rt : {false, true}) {
+    const std::string what = rt ? "bvhrt+reorder" : "auto";
+    Clusterer session(dataset.points,
+                      rt ? Options()
+                               .with_backend(IndexKind::kBvhRt)
+                               .with_reorder_queries(true)
+                         : Options());
+    EXPECT_FALSE(session.counts_cached());
+    const ClusterResult& first = session.run(eps, 5);
+    EXPECT_GT(first.stats.phase1.work.rays, 0u) << what;
+    if (rt) {
+      expect_matches_rt_oneshot(dataset.points, Params{eps, 5}, first,
+                                rt_options, what + " first run");
+    }
+    EXPECT_TRUE(session.counts_cached());
+    for (const std::uint32_t min_pts : {20u, 3u, 50u, 2u}) {
+      const ClusterResult& r = session.run(eps, min_pts);
+      EXPECT_TRUE(r.stats.counts_reused) << what << " " << min_pts;
+      EXPECT_FALSE(r.stats.index_rebuilt);
+      EXPECT_FALSE(r.stats.index_refitted);
+      EXPECT_EQ(r.stats.phase1.work.rays, 0u);  // phase 1 did not run
+      EXPECT_EQ(r.stats.phase1.seconds, 0.0);
+      if (rt) {
+        expect_matches_rt_oneshot(dataset.points, Params{eps, min_pts}, r,
+                                  rt_options, what + " minPts rerun");
+      } else {
+        const ClusterResult fresh = cluster(dataset.points, eps, min_pts);
+        expect_identical_clustering(dataset.points, Params{eps, min_pts}, r,
+                                    fresh, "minPts rerun");
+      }
+    }
+    // A query at the same eps leaves the index and the cache alone.
+    (void)session.query_neighbors(0u, eps);
+    EXPECT_TRUE(session.counts_cached());
+    EXPECT_TRUE(session.run(eps, 7).stats.counts_reused) << what;
+    // An eps change invalidates the cache...
+    const ClusterResult& moved = session.run(eps * 1.3f, 5);
+    EXPECT_FALSE(moved.stats.counts_reused);
+    // ...and exact counts are cached again for the new eps.
+    EXPECT_TRUE(session.counts_cached());
+    if (!rt) continue;
+    // The RT scene refits across eps changes, and each new eps recounts
+    // once, then serves min_pts reruns from the cache.
+    for (const float step : {0.2f, 0.5f, 0.1f}) {
+      const ClusterResult& r = session.run(step, 10);
+      EXPECT_FALSE(r.stats.counts_reused) << step;
+      EXPECT_TRUE(r.stats.index_refitted) << step;
+      EXPECT_FALSE(r.stats.index_rebuilt) << step;
+      expect_matches_rt_oneshot(dataset.points, Params{step, 10}, r,
+                                rt_options, what + " eps step");
+      const ClusterResult& rerun = session.run(step, 25);
+      EXPECT_TRUE(rerun.stats.counts_reused) << step;
+      expect_matches_rt_oneshot(dataset.points, Params{step, 25}, rerun,
+                                rt_options, what + " eps step rerun");
+    }
   }
-  // An eps change invalidates the cache...
-  const ClusterResult& moved = session.run(eps * 1.3f, 5);
-  EXPECT_FALSE(moved.stats.counts_reused);
-  // ...and exact counts are cached again for the new eps.
-  EXPECT_TRUE(session.counts_cached());
 }
 
 TEST(Clusterer, EarlyExitCapsCountsButReusesWhereValid) {
@@ -451,31 +514,101 @@ TEST(Clusterer, KdistAndKnnPassthrough) {
 // ---------------------------------------------------------------------------
 
 TEST(ClustererTriangle, SweepMatchesOneShotAndRefits) {
+  // A triangle session is the session over index::TriangleIndex: the same
+  // cell phases and shared sweep as every sphere session, held to the same
+  // contract against the §VI-C one-shot — identical clustering (a contested
+  // border may join either cluster), exact counts and core flags.
   const auto pts = data::taxi_gps(600, 71).points;
   const std::uint32_t min_pts = 5;
-  Clusterer session(
-      pts, Options().with_geometry(core::GeometryMode::kTriangles));
   const std::vector<float> eps_values = {0.25f, 0.35f, 0.5f};
-  const auto curve = session.sweep(eps_values, min_pts);
-  for (std::size_t s = 0; s < curve.size(); ++s) {
-    const ClusterResult& r = curve[s];
-    EXPECT_EQ(r.stats.geometry, core::GeometryMode::kTriangles);
-    EXPECT_EQ(r.stats.backend, IndexKind::kBvhRt);
-    EXPECT_EQ(r.stats.index_refitted, s > 0);  // rescale + refit, no rebuild
-    core::RtDbscanOptions opts;
-    opts.geometry = core::GeometryMode::kTriangles;
-    const auto oracle =
-        core::rt_dbscan(pts, Params{eps_values[s], min_pts}, opts);
-    EXPECT_EQ(r.labels, oracle.clustering.labels);
-    EXPECT_EQ(r.is_core, oracle.clustering.is_core);
-    EXPECT_EQ(r.cluster_count, oracle.clustering.cluster_count);
+  struct Case {
+    rt::TraversalWidth width;
+    int subdivisions;
+    bool reorder;
+  };
+  const Case cases[] = {{rt::TraversalWidth::kBinary, 0, false},
+                        {rt::TraversalWidth::kBinary, 1, false},
+                        {rt::TraversalWidth::kWide, 0, false},
+                        {rt::TraversalWidth::kWide, 1, false},
+                        {rt::TraversalWidth::kBinary, 1, true}};
+  for (const Case& c : cases) {
+    const std::string what = std::string(rt::to_string(c.width)) + " s=" +
+                             std::to_string(c.subdivisions) +
+                             (c.reorder ? " reordered" : "");
+    core::RtDbscanOptions oneshot;
+    oneshot.geometry = core::GeometryMode::kTriangles;
+    oneshot.triangle_subdivisions = c.subdivisions;
+    oneshot.device.build.width = c.width;
+    Clusterer session(pts, Options()
+                               .with_geometry(core::GeometryMode::kTriangles)
+                               .with_triangle_subdivisions(c.subdivisions)
+                               .with_width(c.width)
+                               .with_reorder_queries(c.reorder));
+    EXPECT_FALSE(session.counts_cached()) << what;
+    const auto curve = session.sweep(eps_values, min_pts);
+    ASSERT_EQ(curve.size(), eps_values.size());
+    for (std::size_t s = 0; s < curve.size(); ++s) {
+      const ClusterResult& r = curve[s];
+      EXPECT_EQ(r.stats.geometry, core::GeometryMode::kTriangles);
+      EXPECT_EQ(r.stats.backend, IndexKind::kBvhRt);
+      EXPECT_EQ(r.stats.width, c.width) << what;
+      // Entry 0 builds the mesh at ε_max and counts the whole ladder;
+      // every entry rescales the mesh to its ε and refits (entry 0 from
+      // ε_max down) — no later rebuild.
+      EXPECT_EQ(r.stats.index_rebuilt, s == 0) << what << " step " << s;
+      EXPECT_TRUE(r.stats.index_refitted) << what << " step " << s;
+      EXPECT_EQ(r.stats.counts_reused, s > 0) << what << " step " << s;
+      expect_matches_rt_oneshot(pts, Params{eps_values[s], min_pts}, r,
+                                oneshot, what + " sweep");
+    }
+    // Phase 2 traced rays through the tessellated mesh.
+    EXPECT_GT(curve.front().stats.phase2.work.anyhit_calls, 0u) << what;
+    // The accessor reports the resolved pipeline, not kAuto.
+    EXPECT_EQ(session.backend(), IndexKind::kBvhRt);
+    EXPECT_TRUE(session.counts_cached()) << what;
+    // Same-ε reruns keep the counts and skip phase 1 entirely.
+    const ClusterResult& same = session.run(0.5f, min_pts);
+    EXPECT_TRUE(same.stats.counts_reused) << what;
+    EXPECT_FALSE(same.stats.index_refitted) << what;
+    const ClusterResult& rerun = session.run(0.5f, min_pts * 2);
+    EXPECT_TRUE(rerun.stats.counts_reused) << what;
+    EXPECT_EQ(rerun.stats.phase1.work.rays, 0u) << what;
+    testutil::expect_matches_reference(pts, Params{0.5f, min_pts * 2},
+                                       rerun.to_clustering(),
+                                       "triangle minPts rerun");
+    // A new ε rescales and refits the mesh and recounts.
+    const ClusterResult& moved = session.run(0.15f, min_pts);
+    EXPECT_TRUE(moved.stats.index_refitted) << what;
+    EXPECT_FALSE(moved.stats.index_rebuilt) << what;
+    EXPECT_FALSE(moved.stats.counts_reused) << what;
+    expect_matches_rt_oneshot(pts, Params{0.15f, min_pts}, moved, oneshot,
+                              what + " eps step");
+    // Point queries go through the mesh too (refitting it to their ε) and
+    // return the exact neighborhood.
+    for (const float eps : {0.15f, 0.4f}) {
+      for (const std::uint32_t i : {0u, 123u, 599u}) {
+        std::vector<std::uint32_t> exact;
+        for (std::uint32_t j = 0; j < pts.size(); ++j) {
+          if (j != i && geom::distance_squared(pts[i], pts[j]) <= eps * eps) {
+            exact.push_back(j);
+          }
+        }
+        EXPECT_EQ(session.query_neighbors(i, eps), exact)
+            << what << " eps=" << eps << " point " << i;
+      }
+    }
   }
-  // The accessor reports the resolved pipeline, not kAuto.
-  EXPECT_EQ(session.backend(), IndexKind::kBvhRt);
-  // min_pts rerun reuses the cached counts.
-  (void)session.run(0.5f, min_pts);
-  const ClusterResult& rerun = session.run(0.5f, min_pts * 2);
-  EXPECT_TRUE(rerun.stats.counts_reused);
+
+  // An empty triangle session sweeps and runs (nothing to rescale).
+  Clusterer empty(std::vector<Vec3>{},
+                  Options().with_geometry(core::GeometryMode::kTriangles));
+  const auto curve = empty.sweep(std::vector<float>{0.3f, 0.5f}, 3);
+  ASSERT_EQ(curve.size(), 2u);
+  for (const ClusterResult& r : curve) {
+    EXPECT_TRUE(r.labels.empty());
+    EXPECT_EQ(r.cluster_count, 0u);
+  }
+  EXPECT_EQ(empty.run(0.4f, 3).cluster_count, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -512,6 +645,17 @@ TEST(Clusterer, RejectsInvalidArguments) {
                                   .with_geometry(
                                       core::GeometryMode::kTriangles)
                                   .with_backend(IndexKind::kGrid)),
+               std::invalid_argument);
+  // Triangle sessions validate their parameters the same way.
+  Clusterer triangles(
+      pts, Options().with_geometry(core::GeometryMode::kTriangles));
+  EXPECT_THROW((void)triangles.run(0.0f, 3), std::invalid_argument);
+  EXPECT_THROW((void)triangles.run(-1.0f, 3), std::invalid_argument);
+  EXPECT_THROW((void)triangles.run(1.5f, 0), std::invalid_argument);
+  EXPECT_THROW(Clusterer(pts, Options()
+                                  .with_geometry(
+                                      core::GeometryMode::kTriangles)
+                                  .with_triangle_subdivisions(-1)),
                std::invalid_argument);
   // Non-finite coordinates fail at construction.
   std::vector<Vec3> bad = pts;

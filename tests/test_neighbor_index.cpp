@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/api.hpp"
@@ -24,6 +25,7 @@
 #include "dbscan_test_util.hpp"
 #include "index/bvh_rt_index.hpp"
 #include "index/grid_index.hpp"
+#include "index/triangle_index.hpp"
 
 namespace rtd::index {
 namespace {
@@ -275,6 +277,147 @@ TEST(NeighborIndex, RadiusConstraintsAreEnforced) {
   const BvhRtIndex rt_scene(dataset.points, 0.5f);
   EXPECT_THROW(rt_scene.query_sphere(dataset.points[0], 0.4f, 0,
                                      [](std::uint32_t) {}, stats),
+               std::invalid_argument);
+
+  // The triangle mesh bakes its radius in the same way.
+  const TriangleIndex mesh(dataset.points, 0.5f, 0);
+  EXPECT_THROW(mesh.query_sphere(dataset.points[0], 0.4f, 0,
+                                 [](std::uint32_t) {}, stats),
+               std::invalid_argument);
+  EXPECT_THROW((void)mesh.query_count(dataset.points[0], 0.6f, 0, stats),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// TriangleIndex: the §VI-C tessellated scene joins the contract through its
+// own constructor (it is not an IndexKind; it reports kBvhRt).  Every case
+// compares against kBruteForce for subdivisions {0, 1} x width {binary,
+// wide}.
+// ---------------------------------------------------------------------------
+
+struct NamedIndex {
+  std::string name;
+  std::unique_ptr<NeighborIndex> index;
+};
+
+std::vector<NamedIndex> triangle_indexes(std::span<const Vec3> points,
+                                         float eps) {
+  std::vector<NamedIndex> out;
+  for (const int subdivisions : {0, 1}) {
+    for (const rt::TraversalWidth width :
+         {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
+      rt::Context::Options options;
+      options.build.width = width;
+      out.push_back({"triangles s=" + std::to_string(subdivisions) + " " +
+                         rt::to_string(width),
+                     std::make_unique<TriangleIndex>(points, eps,
+                                                     subdivisions, options)});
+    }
+  }
+  return out;
+}
+
+/// Sphere-query parity with brute force for every point of `points` on
+/// the stride, each excluding itself.
+void expect_sphere_parity(std::span<const Vec3> points, float eps,
+                          const NeighborIndex& brute,
+                          const std::vector<NamedIndex>& meshes,
+                          const std::string& what) {
+  const auto stride = std::max<std::uint32_t>(
+      1, static_cast<std::uint32_t>(points.size() / 97));
+  for (std::uint32_t q = 0; q < points.size(); q += stride) {
+    const auto expected = sorted_neighbors(brute, points[q], eps, q);
+    for (const auto& m : meshes) {
+      EXPECT_EQ(sorted_neighbors(*m.index, points[q], eps, q), expected)
+          << what << ": " << m.name << ", query " << q;
+    }
+  }
+}
+
+TEST(TriangleIndexParity, NeighborSetsMatchBruteForce) {
+  for (const auto& c : parity_cases()) {
+    const auto brute = make_index(c.points, c.eps, IndexKind::kBruteForce);
+    const auto meshes = triangle_indexes(c.points, c.eps);
+    for (const auto& m : meshes) {
+      EXPECT_EQ(m.index->kind(), IndexKind::kBvhRt) << m.name;
+      EXPECT_EQ(m.index->build_eps(), c.eps) << m.name;
+    }
+    expect_sphere_parity(c.points, c.eps, *brute, meshes, c.name);
+  }
+  // Coincident points: a self-query sees the other four, an off-dataset
+  // query all five — each exactly once, though all five shells overlap.
+  const std::vector<Vec3> dups(5, Vec3{2.0f, 2.0f, 2.0f});
+  for (const auto& m : triangle_indexes(dups, 0.5f)) {
+    EXPECT_EQ(sorted_neighbors(*m.index, dups[2], 0.5f, 2),
+              (std::vector<std::uint32_t>{0, 1, 3, 4}))
+        << m.name;
+    EXPECT_EQ(sorted_neighbors(*m.index, dups[0], 0.5f, kNoSelf),
+              (std::vector<std::uint32_t>{0, 1, 2, 3, 4}))
+        << m.name;
+  }
+}
+
+TEST(TriangleIndexParity, QueryCountAndQueryBoxMatchBruteForce) {
+  const auto blobs = parity_cases()[1];
+  const auto brute =
+      make_index(blobs.points, blobs.eps, IndexKind::kBruteForce);
+  const auto meshes = triangle_indexes(blobs.points, blobs.eps);
+  for (std::uint32_t q = 0; q < blobs.points.size(); q += 131) {
+    rt::TraversalStats stats;
+    const std::uint32_t expected =
+        brute->query_count(blobs.points[q], blobs.eps, q, stats);
+    for (const auto& m : meshes) {
+      EXPECT_EQ(m.index->query_count(blobs.points[q], blobs.eps, q, stats),
+                expected)
+          << m.name << ", query " << q;
+      // Like the sphere scene, the count never stops early.
+      EXPECT_EQ(m.index->query_count(blobs.points[q], blobs.eps, q, stats, 1),
+                expected)
+          << m.name << ", query " << q;
+    }
+  }
+
+  const auto uniform = parity_cases()[0];
+  const auto brute_u =
+      make_index(uniform.points, uniform.eps, IndexKind::kBruteForce);
+  const geom::Aabb boxes[] = {
+      {{2, 2, 2}, {6, 7, 8}},
+      {{-10, -10, -10}, {30, 30, 30}},  // everything
+      {{19, 19, 19}, {19.5f, 19.5f, 19.5f}},
+  };
+  for (const auto& m : triangle_indexes(uniform.points, uniform.eps)) {
+    for (const auto& box : boxes) {
+      std::vector<std::uint32_t> expected;
+      std::vector<std::uint32_t> ids;
+      rt::TraversalStats stats;
+      brute_u->query_box(box, [&](std::uint32_t j) { expected.push_back(j); },
+                         stats);
+      m.index->query_box(box, [&](std::uint32_t j) { ids.push_back(j); },
+                         stats);
+      std::sort(expected.begin(), expected.end());
+      std::sort(ids.begin(), ids.end());  // duplicates would survive this
+      EXPECT_EQ(ids, expected) << m.name;
+    }
+  }
+}
+
+TEST(TriangleIndexParity, RetargetedMeshKeepsParity) {
+  // try_set_eps rescales the mesh and refits in place: queries at the new
+  // radius match brute force, and the old radius is no longer accepted.
+  const auto c = parity_cases()[1];
+  auto meshes = triangle_indexes(c.points, c.eps);
+  for (const float eps : {0.7f, 0.25f}) {
+    for (auto& m : meshes) {
+      ASSERT_TRUE(m.index->try_set_eps(eps)) << m.name;
+      EXPECT_EQ(m.index->build_eps(), eps) << m.name;
+    }
+    const auto brute = make_index(c.points, eps, IndexKind::kBruteForce);
+    expect_sphere_parity(c.points, eps, *brute, meshes,
+                         "eps " + std::to_string(eps));
+  }
+  rt::TraversalStats stats;
+  EXPECT_THROW(meshes.front().index->query_sphere(
+                   c.points[0], c.eps, 0, [](std::uint32_t) {}, stats),
                std::invalid_argument);
 }
 

@@ -16,6 +16,7 @@
 #include "data/generators.hpp"
 #include "index/neighbor_index.hpp"
 #include "index/query_scratch.hpp"
+#include "index/triangle_index.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -108,6 +109,46 @@ TEST(QueryAllocation, WarmSingleQueriesAllocateNothing) {
   }
 }
 
+TEST(QueryAllocation, WarmTriangleIndexQueriesAllocateNothing) {
+  // The §VI-C mesh dedups owners in its own QueryScratch buffer, so its
+  // warm queries are allocation-free too — and a caller holding the
+  // neighbors/worklist buffers across queries (dbscan/sequential.cpp)
+  // keeps its contents.
+  const auto dataset = data::taxi_gps(3000, 82);
+  const float eps = 0.15f;
+  for (const rt::TraversalWidth width :
+       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
+    rt::Context::Options options;
+    options.build.width = width;
+    const TriangleIndex index(dataset.points, eps, 1, options);
+    QueryScratch& scratch = QueryScratch::local();
+    std::vector<std::uint32_t>& held = scratch.acquire_neighbors();
+    std::vector<std::uint32_t>& frontier = scratch.acquire_worklist();
+    rt::TraversalStats stats;
+    std::uint64_t sum = 0;
+    const auto queries = [&] {
+      held.clear();
+      frontier.assign(4, 7u);
+      for (std::uint32_t q = 0; q < 512; ++q) {
+        index.query_sphere(dataset.points[q], eps, q,
+                           [&](std::uint32_t j) { held.push_back(j); },
+                           stats);
+        sum += index.query_count(dataset.points[q], eps, q, stats);
+      }
+      index.query_box(geom::Aabb({0, 0, 0}, {1, 1, 1}),
+                      [&](std::uint32_t j) { sum += j; }, stats);
+      (void)index.query_all(
+          eps, [&](std::uint32_t, std::uint32_t) { ++sum; }, /*threads=*/1);
+    };
+    queries();  // warm: every buffer reaches its high-water mark
+    queries();
+    EXPECT_EQ(allocations_during(queries), 0u) << rt::to_string(width);
+    EXPECT_GT(held.size(), 0u);
+    EXPECT_EQ(frontier, std::vector<std::uint32_t>(4, 7u));
+    EXPECT_GT(sum, 0u);
+  }
+}
+
 TEST(QueryAllocation, WarmClustererRunsAllocateNothing) {
   // The session API's warm path is arena-only: once the index is built and
   // one run per parameter set has warmed every internal buffer (engine
@@ -130,6 +171,21 @@ TEST(QueryAllocation, WarmClustererRunsAllocateNothing) {
     EXPECT_EQ(during, 0u) << to_string(kind);
     EXPECT_GT(clusters, 0u) << to_string(kind);
   }
+  // Triangle geometry is the same session over index::TriangleIndex.
+  Clusterer triangles(dataset.points,
+                      Options()
+                          .with_geometry(core::GeometryMode::kTriangles)
+                          .with_triangle_subdivisions(0)
+                          .with_threads(1));
+  std::uint64_t clusters = 0;
+  const auto pass = [&] {
+    clusters += triangles.run(eps, 5).cluster_count;
+    clusters += triangles.run(eps, 12).cluster_count;
+  };
+  pass();
+  pass();
+  EXPECT_EQ(allocations_during(pass), 0u) << "triangles";
+  EXPECT_GT(clusters, 0u);
 }
 
 TEST(QueryAllocation, WarmSnapshotReadsAllocateNothing) {

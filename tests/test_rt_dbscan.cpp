@@ -112,32 +112,28 @@ TEST(RtDbscan, TriangleModeDoesMoreWork) {
 }
 
 TEST(RtDbscan, ReorderedQueriesGiveEquivalentResults) {
-  // The RTNN-style Morton launch order changes scheduling only.
+  // The RTNN-style Morton launch order changes scheduling only, in both
+  // geometry modes.
   const auto dataset = data::taxi_gps(3000, 78);
   const Params params{0.3f, 10};
-  RtDbscanOptions reordered;
-  reordered.reorder_queries = true;
-  const auto a = rt_dbscan(dataset.points, params);
-  const auto b = rt_dbscan(dataset.points, params, reordered);
-  const auto eq = dbscan::check_equivalent(dataset.points, params,
-                                           a.clustering, b.clustering);
-  EXPECT_TRUE(eq.equivalent) << eq.reason;
-  // Work counters are identical: the same rays trace, in another order.
-  EXPECT_EQ(a.phase1.work.nodes_visited, b.phase1.work.nodes_visited);
-  EXPECT_EQ(a.phase1.work.isect_calls, b.phase1.work.isect_calls);
-  EXPECT_EQ(a.neighbor_counts, b.neighbor_counts);
-}
-
-TEST(RtDbscanRunner, ReorderedRunnerMatches) {
-  const auto dataset = data::taxi_gps(2000, 79);
-  RtDbscanOptions reordered;
-  reordered.reorder_queries = true;
-  RtDbscanRunner runner(dataset.points, 0.3f, reordered);
-  const auto cached = runner.run(10);
-  const auto oneshot = rt_dbscan(dataset.points, {0.3f, 10});
-  const auto eq = dbscan::check_equivalent(
-      dataset.points, {0.3f, 10}, oneshot.clustering, cached.clustering);
-  EXPECT_TRUE(eq.equivalent) << eq.reason;
+  for (const GeometryMode geometry :
+       {GeometryMode::kSpheres, GeometryMode::kTriangles}) {
+    RtDbscanOptions plain;
+    plain.geometry = geometry;
+    RtDbscanOptions reordered = plain;
+    reordered.reorder_queries = true;
+    const auto a = rt_dbscan(dataset.points, params, plain);
+    const auto b = rt_dbscan(dataset.points, params, reordered);
+    const auto eq = dbscan::check_equivalent(dataset.points, params,
+                                             a.clustering, b.clustering);
+    EXPECT_TRUE(eq.equivalent) << to_string(geometry) << ": " << eq.reason;
+    // Work counters are identical: the same rays trace, in another order.
+    EXPECT_EQ(a.phase1.work.nodes_visited, b.phase1.work.nodes_visited)
+        << to_string(geometry);
+    EXPECT_EQ(a.phase1.work.isect_calls, b.phase1.work.isect_calls)
+        << to_string(geometry);
+    EXPECT_EQ(a.neighbor_counts, b.neighbor_counts) << to_string(geometry);
+  }
 }
 
 TEST(RtDbscan, BothBuildersEquivalent) {
@@ -200,106 +196,6 @@ TEST(RtDbscan, MemoryFootprintHasNoNeighborLists) {
   EXPECT_EQ(r.clustering.labels.size(), dataset.size());
   EXPECT_EQ(r.clustering.is_core.size(), dataset.size());
   EXPECT_EQ(r.neighbor_counts.size(), dataset.size());
-}
-
-TEST(RtDbscanRunner, FirstRunMatchesOneShot) {
-  const auto dataset = data::taxi_gps(3000, 89);
-  const Params params{0.3f, 10};
-  RtDbscanRunner runner(dataset.points, params.eps);
-  EXPECT_FALSE(runner.counts_cached());
-  const auto cached = runner.run(params.min_pts);
-  EXPECT_TRUE(runner.counts_cached());
-  const auto oneshot = rt_dbscan(dataset.points, params);
-  const auto eq = dbscan::check_equivalent(
-      dataset.points, params, oneshot.clustering, cached.clustering);
-  EXPECT_TRUE(eq.equivalent) << eq.reason;
-}
-
-TEST(RtDbscanRunner, RerunsWithDifferentMinPtsMatchOneShots) {
-  const auto dataset = data::taxi_gps(3000, 90);
-  const float eps = 0.3f;
-  RtDbscanRunner runner(dataset.points, eps);
-  for (const std::uint32_t min_pts : {5u, 10u, 40u, 2u}) {
-    const auto cached = runner.run(min_pts);
-    const auto oneshot = rt_dbscan(dataset.points, {eps, min_pts});
-    const auto eq =
-        dbscan::check_equivalent(dataset.points, {eps, min_pts},
-                                 oneshot.clustering, cached.clustering);
-    EXPECT_TRUE(eq.equivalent) << "minPts=" << min_pts << ": " << eq.reason;
-  }
-}
-
-TEST(RtDbscanRunner, CachedRunsSkipPhase1) {
-  const auto dataset = data::taxi_gps(3000, 91);
-  RtDbscanRunner runner(dataset.points, 0.3f);
-  const auto first = runner.run(10);
-  EXPECT_GT(first.phase1.work.rays, 0u);
-  const auto second = runner.run(20);
-  EXPECT_EQ(second.phase1.work.rays, 0u);  // no rays launched for phase 1
-  EXPECT_EQ(second.phase1.seconds, 0.0);
-}
-
-TEST(RtDbscanRunner, TriangleModeFirstRunMatchesOneShot) {
-  // §VI-C sessions are supported since the TriangleAccel refit path landed:
-  // the runner tessellates once and replays phases over the cached counts.
-  const auto dataset = data::taxi_gps(800, 93);
-  const Params params{0.3f, 8};
-  RtDbscanOptions opts;
-  opts.geometry = GeometryMode::kTriangles;
-  opts.triangle_subdivisions = 1;
-  RtDbscanRunner runner(dataset.points, params.eps, opts);
-  EXPECT_FALSE(runner.counts_cached());
-  const auto cached = runner.run(params.min_pts);
-  EXPECT_TRUE(runner.counts_cached());
-  EXPECT_GT(cached.phase1.work.anyhit_calls, 0u);
-  const auto oneshot = rt_dbscan(dataset.points, params, opts);
-  EXPECT_EQ(cached.clustering.labels, oneshot.clustering.labels);
-  EXPECT_EQ(cached.neighbor_counts, oneshot.neighbor_counts);
-  // minPts re-run skips phase 1 entirely.
-  const auto second = runner.run(2 * params.min_pts);
-  EXPECT_EQ(second.phase1.work.rays, 0u);
-  expect_matches_reference(dataset.points, {params.eps, 2 * params.min_pts},
-                           second.clustering, "triangle-runner-rerun");
-}
-
-TEST(RtDbscanRunner, TriangleModeEpsSweepRefitsInPlace) {
-  // set_eps on a triangle session rescales the tessellation and REFITS —
-  // results must match a from-scratch run at every eps, across widths.
-  const auto dataset = data::taxi_gps(600, 94);
-  for (const rt::TraversalWidth width :
-       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
-    RtDbscanOptions opts;
-    opts.geometry = GeometryMode::kTriangles;
-    opts.triangle_subdivisions = 0;
-    opts.device.build.width = width;
-    RtDbscanRunner runner(dataset.points, 0.2f, opts);
-    (void)runner.run(5);
-    for (const float eps : {0.45f, 0.15f, 0.3f}) {
-      runner.set_eps(eps);
-      EXPECT_FALSE(runner.counts_cached());
-      const Params params{eps, 5};
-      const auto swept = runner.run(params.min_pts);
-      expect_matches_reference(dataset.points, params, swept.clustering,
-                               "triangle-runner-eps-sweep");
-      const auto oneshot = rt_dbscan(dataset.points, params, opts);
-      EXPECT_EQ(swept.clustering.labels, oneshot.clustering.labels)
-          << rt::to_string(width) << " eps=" << eps;
-      EXPECT_EQ(swept.neighbor_counts, oneshot.neighbor_counts)
-          << rt::to_string(width) << " eps=" << eps;
-    }
-  }
-}
-
-TEST(RtDbscanRunner, TriangleModeEmptyInputSweeps) {
-  // Regression: an empty triangle session must allow set_eps (rescaling
-  // nothing is a valid ε sweep), exactly like the sphere session does.
-  RtDbscanOptions opts;
-  opts.geometry = GeometryMode::kTriangles;
-  RtDbscanRunner runner(std::vector<geom::Vec3>{}, 0.3f, opts);
-  EXPECT_NO_THROW(runner.set_eps(0.5f));
-  const auto r = runner.run(3);
-  EXPECT_EQ(r.clustering.size(), 0u);
-  EXPECT_EQ(r.clustering.cluster_count, 0u);
 }
 
 TEST(RtDbscan, TriangleModeWideWidthsMatchSphereMode) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/clusterer.hpp"
 #include "core/rt_dbscan.hpp"
 #include "core/rt_knn.hpp"
 #include "dbscan/dclustplus.hpp"
@@ -56,7 +57,11 @@ TEST(Validation, AllEntryPointsRejectNan) {
   EXPECT_THROW(dbscan::dclust_plus(pts, params), std::invalid_argument);
   EXPECT_THROW(core::rt_dbscan(pts, params), std::invalid_argument);
   EXPECT_THROW(core::rt_knn(pts, 3), std::invalid_argument);
-  EXPECT_THROW(core::RtDbscanRunner(pts, 1.0f), std::invalid_argument);
+  // Sessions reject at construction, in either geometry.
+  EXPECT_THROW(Clusterer{pts}, std::invalid_argument);
+  EXPECT_THROW(Clusterer(pts, Options().with_geometry(
+                                  core::GeometryMode::kTriangles)),
+               std::invalid_argument);
 }
 
 TEST(Validation, AllEntryPointsRejectInfinity) {

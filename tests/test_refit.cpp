@@ -1,11 +1,14 @@
-// BVH refit + SphereAccel::set_radius.
+// BVH refit + SphereAccel::set_radius + ε changes on an RT-scene session.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "common/rng.hpp"
+#include "core/clusterer.hpp"
+#include "core/rt_dbscan.hpp"
 #include "core/rt_find_neighbors.hpp"
 #include "data/generators.hpp"
+#include "dbscan/equivalence.hpp"
 #include "rt/bvh.hpp"
 #include "rt/context.hpp"
 
@@ -73,6 +76,63 @@ TEST(SphereAccelRefit, RejectsNonPositiveRadius) {
   SphereAccel accel = ctx.build_spheres({{0, 0, 0}}, 1.0f);
   EXPECT_THROW(accel.set_radius(0.0f), std::invalid_argument);
   EXPECT_THROW(accel.set_radius(-2.0f), std::invalid_argument);
+}
+
+// An ε change on a Clusterer over the RT sphere scene (IndexKind::kBvhRt)
+// rescales the spheres and refits in place, then recounts once; minPts
+// reruns at that ε reuse the counts.
+rtd::Options rt_session_options() {
+  return rtd::Options().with_backend(index::IndexKind::kBvhRt);
+}
+
+TEST(RunnerSetEps, RerunsMatchOneShotAcrossEpsChanges) {
+  const auto dataset = data::taxi_gps(3000, 403);
+  Clusterer session(dataset.points, rt_session_options());
+  bool first = true;
+  for (const float eps : {0.2f, 0.5f, 0.1f}) {
+    const auto& cached = session.run(eps, 10);
+    EXPECT_FALSE(cached.stats.counts_reused) << "eps=" << eps;
+    EXPECT_EQ(cached.stats.index_rebuilt, first) << "eps=" << eps;
+    if (!first) {
+      EXPECT_TRUE(cached.stats.index_refitted) << "eps=" << eps;
+    }
+    const auto oneshot = core::rt_dbscan(dataset.points, {eps, 10});
+    const auto eq = dbscan::check_equivalent(
+        dataset.points, {eps, 10}, oneshot.clustering, cached.to_clustering());
+    EXPECT_TRUE(eq.equivalent) << "eps=" << eps << ": " << eq.reason;
+    EXPECT_EQ(cached.neighbor_counts, oneshot.neighbor_counts)
+        << "eps=" << eps;
+    // minPts re-run on the refit scene still uses the cache.
+    EXPECT_TRUE(session.counts_cached());
+    const auto& rerun = session.run(eps, 25);
+    EXPECT_TRUE(rerun.stats.counts_reused) << "eps=" << eps;
+    const auto oneshot25 = core::rt_dbscan(dataset.points, {eps, 25});
+    const auto eq25 = dbscan::check_equivalent(
+        dataset.points, {eps, 25}, oneshot25.clustering, rerun.to_clustering());
+    EXPECT_TRUE(eq25.equivalent) << "eps=" << eps << ": " << eq25.reason;
+    first = false;
+  }
+}
+
+TEST(RunnerSetEps, SameEpsKeepsCache) {
+  const auto dataset = data::taxi_gps(1000, 404);
+  Clusterer session(dataset.points, rt_session_options());
+  (void)session.run(0.3f, 10);
+  ASSERT_TRUE(session.counts_cached());
+  (void)session.query_neighbors(0u, 0.3f);  // same ε: no rescale
+  EXPECT_TRUE(session.counts_cached());
+  const auto& rerun = session.run(0.3f, 10);
+  EXPECT_TRUE(rerun.stats.counts_reused);
+  EXPECT_FALSE(rerun.stats.index_refitted);
+}
+
+TEST(RunnerSetEps, RejectsNonPositive) {
+  Clusterer session(std::vector<Vec3>{{0, 0, 0}}, rt_session_options());
+  EXPECT_THROW((void)session.run(0.0f, 1), std::invalid_argument);
+  EXPECT_THROW((void)session.run(-1.0f, 1), std::invalid_argument);
+  (void)session.run(1.0f, 1);
+  EXPECT_THROW((void)session.run(0.0f, 1), std::invalid_argument);
+  EXPECT_TRUE(session.counts_cached());
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "core/api.hpp"
 #include "data/generators.hpp"
 #include "dbscan_test_util.hpp"
@@ -196,6 +200,148 @@ TEST(RtDbscan, MemoryFootprintHasNoNeighborLists) {
   EXPECT_EQ(r.clustering.labels.size(), dataset.size());
   EXPECT_EQ(r.clustering.is_core.size(), dataset.size());
   EXPECT_EQ(r.neighbor_counts.size(), dataset.size());
+}
+
+// ---------------------------------------------------------------------------
+// Sessions over the RT scene (the former RtDbscanRunner contract): a
+// Clusterer on IndexKind::kBvhRt, or on triangle geometry, caches exact
+// neighbor counts across minPts reruns and refits across ε changes. Each run
+// must match the rt_dbscan one-shot of its geometry: equivalent clustering,
+// identical core flags and exact neighbor counts.
+// ---------------------------------------------------------------------------
+
+Options rt_session_options() {
+  return Options().with_backend(index::IndexKind::kBvhRt);
+}
+
+Options triangle_session_options(int subdivisions) {
+  return Options()
+      .with_geometry(GeometryMode::kTriangles)
+      .with_triangle_subdivisions(subdivisions);
+}
+
+void expect_session_matches_oneshot(std::span<const geom::Vec3> points,
+                                    const Params& params,
+                                    const ClusterResult& r,
+                                    const RtDbscanOptions& options,
+                                    const std::string& what) {
+  const auto oneshot = rt_dbscan(points, params, options);
+  const auto eq = dbscan::check_equivalent(points, params, oneshot.clustering,
+                                           r.to_clustering());
+  EXPECT_TRUE(eq.equivalent) << what << ": " << eq.reason;
+  EXPECT_EQ(r.is_core, oneshot.clustering.is_core) << what;
+  EXPECT_EQ(r.neighbor_counts, oneshot.neighbor_counts) << what;
+}
+
+TEST(RtDbscanRunner, FirstRunMatchesOneShot) {
+  const auto dataset = data::taxi_gps(3000, 89);
+  const Params params{0.3f, 10};
+  Clusterer session(dataset.points, rt_session_options());
+  EXPECT_FALSE(session.counts_cached());
+  const ClusterResult& cached = session.run(params.eps, params.min_pts);
+  EXPECT_TRUE(session.counts_cached());
+  EXPECT_EQ(cached.stats.backend, index::IndexKind::kBvhRt);
+  expect_session_matches_oneshot(dataset.points, params, cached, {},
+                                 "first run");
+}
+
+TEST(RtDbscanRunner, RerunsWithDifferentMinPtsMatchOneShots) {
+  const auto dataset = data::taxi_gps(3000, 90);
+  const float eps = 0.3f;
+  Clusterer session(dataset.points, rt_session_options());
+  bool first = true;
+  for (const std::uint32_t min_pts : {5u, 10u, 40u, 2u}) {
+    const ClusterResult& cached = session.run(eps, min_pts);
+    EXPECT_EQ(cached.stats.counts_reused, !first) << "minPts=" << min_pts;
+    expect_session_matches_oneshot(dataset.points, {eps, min_pts}, cached, {},
+                                   "minPts=" + std::to_string(min_pts));
+    first = false;
+  }
+}
+
+TEST(RtDbscanRunner, CachedRunsSkipPhase1) {
+  const auto dataset = data::taxi_gps(3000, 91);
+  Clusterer session(dataset.points, rt_session_options());
+  const ClusterResult& first = session.run(0.3f, 10);
+  EXPECT_GT(first.stats.phase1.work.rays, 0u);
+  const ClusterResult& second = session.run(0.3f, 20);
+  EXPECT_TRUE(second.stats.counts_reused);
+  EXPECT_EQ(second.stats.phase1.work.rays, 0u);  // no rays for phase 1
+  EXPECT_EQ(second.stats.phase1.seconds, 0.0);
+}
+
+TEST(RtDbscanRunner, ReorderedRunnerMatches) {
+  const auto dataset = data::taxi_gps(2000, 79);
+  Clusterer session(dataset.points,
+                    rt_session_options().with_reorder_queries(true));
+  const ClusterResult& cached = session.run(0.3f, 10);
+  expect_session_matches_oneshot(dataset.points, {0.3f, 10}, cached, {},
+                                 "reordered");
+}
+
+TEST(RtDbscanRunner, TriangleModeFirstRunMatchesOneShot) {
+  // A triangle session tessellates once and replays the phases over the
+  // cached counts.
+  const auto dataset = data::taxi_gps(800, 93);
+  const Params params{0.3f, 8};
+  RtDbscanOptions opts;
+  opts.geometry = GeometryMode::kTriangles;
+  opts.triangle_subdivisions = 1;
+  Clusterer session(dataset.points, triangle_session_options(1));
+  EXPECT_FALSE(session.counts_cached());
+  const ClusterResult& cached = session.run(params.eps, params.min_pts);
+  EXPECT_TRUE(session.counts_cached());
+  EXPECT_EQ(cached.stats.geometry, GeometryMode::kTriangles);
+  // Phase 2 traces its rays through the tessellated mesh.
+  EXPECT_GT(cached.stats.phase2.work.anyhit_calls, 0u);
+  expect_session_matches_oneshot(dataset.points, params, cached, opts,
+                                 "triangle first run");
+  // A minPts rerun skips phase 1 entirely.
+  const ClusterResult& second = session.run(params.eps, 2 * params.min_pts);
+  EXPECT_TRUE(second.stats.counts_reused);
+  EXPECT_EQ(second.stats.phase1.work.rays, 0u);
+  expect_matches_reference(dataset.points, {params.eps, 2 * params.min_pts},
+                           second.to_clustering(), "triangle-runner-rerun");
+}
+
+TEST(RtDbscanRunner, TriangleModeEpsSweepRefitsInPlace) {
+  // An ε change on a triangle session rescales the tessellation and
+  // REFITS; results must match a from-scratch run at every ε, across widths.
+  const auto dataset = data::taxi_gps(600, 94);
+  for (const rt::TraversalWidth width :
+       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
+    RtDbscanOptions opts;
+    opts.geometry = GeometryMode::kTriangles;
+    opts.triangle_subdivisions = 0;
+    opts.device.build.width = width;
+    Clusterer session(dataset.points,
+                      triangle_session_options(0).with_width(width));
+    (void)session.run(0.2f, 5);
+    for (const float eps : {0.45f, 0.15f, 0.3f}) {
+      const std::string what =
+          std::string(rt::to_string(width)) + " eps=" + std::to_string(eps);
+      const Params params{eps, 5};
+      const ClusterResult& swept = session.run(params.eps, params.min_pts);
+      EXPECT_FALSE(swept.stats.counts_reused) << what;
+      EXPECT_TRUE(swept.stats.index_refitted) << what;
+      EXPECT_FALSE(swept.stats.index_rebuilt) << what;
+      EXPECT_EQ(swept.stats.width, width) << what;
+      expect_matches_reference(dataset.points, params, swept.to_clustering(),
+                               "triangle-runner-eps-sweep");
+      expect_session_matches_oneshot(dataset.points, params, swept, opts,
+                                     what);
+    }
+  }
+}
+
+TEST(RtDbscanRunner, TriangleModeEmptyInputSweeps) {
+  // Regression: an empty triangle session must allow an ε change
+  // (rescaling nothing is a valid ε sweep), exactly like a sphere session.
+  Clusterer session(std::vector<geom::Vec3>{}, triangle_session_options(0));
+  EXPECT_EQ(session.run(0.3f, 3).cluster_count, 0u);
+  const ClusterResult& r = session.run(0.5f, 3);
+  EXPECT_TRUE(r.labels.empty());
+  EXPECT_EQ(r.cluster_count, 0u);
 }
 
 TEST(RtDbscan, TriangleModeWideWidthsMatchSphereMode) {

@@ -261,8 +261,8 @@ BENCHMARK(BM_QuerySweep1M_Wide)->Unit(benchmark::kMicrosecond);
 // ---------------------------------------------------------------------------
 // §VI-C triangle-mode sweeps: the same binary/wide trade over a
 // tessellated-sphere scene.  One iteration = one +z query ray through the
-// exact Moller-Trumbore filter (the AnyHit workload), cycling through the
-// data points.  Arg = TRIANGLE count: 10000 for the CI smoke pass,
+// exact watertight triangle filter (the AnyHit workload), cycling through
+// the data points.  Arg = TRIANGLE count: 10000 for the CI smoke pass,
 // 1000000 for the headline recorded in BENCH_PR4.json.
 // ---------------------------------------------------------------------------
 

@@ -53,6 +53,159 @@ void validate_center(const Vec3& center) {
   }
 }
 
+/// One slot changing membership bucket.  Buckets are numbered as after the
+/// change: clusters [0, new_clusters), noise = new_clusters.
+struct MemberMove {
+  std::uint32_t slot;
+  std::uint32_t from;  ///< old bucket; kNoneId for a slot new to the table
+  std::uint32_t to;
+};
+
+/// Scratch of patch_membership(), kept across calls so warm patches
+/// allocate nothing.
+struct MembershipPatch {
+  struct Event {
+    std::uint32_t pos;     ///< old-table position (an insert lands before it)
+    std::uint32_t kind;    ///< 0 insert, 1 delete; inserts sort first
+    std::uint32_t bucket;
+    std::uint32_t slot;
+    auto operator<=>(const Event&) const = default;
+  };
+  struct Segment {
+    std::uint32_t begin, end;  ///< old-table range kept between events
+    std::int64_t shift;        ///< its displacement in the new table
+  };
+  std::vector<Event> events;
+  std::vector<Segment> segments;
+  std::vector<std::uint32_t> starts;
+  std::vector<std::uint32_t> emptied;  ///< cluster buckets left empty
+};
+
+/// Apply `moves` to a ClusterResult membership table in place, keeping its
+/// layout: buckets by cluster id, noise last, slots ascending in a bucket.
+/// The table had `old_clusters` cluster buckets; it gets `new_clusters`
+/// (>= old; the new ids are born clusters, placed before noise).  Every
+/// slot appears in at most one move.  Cost: a sort of the moves,
+/// O(new_clusters) start updates, and block moves of the kept runs between
+/// the first and the last changed position — no per-slot pass.  Cluster
+/// buckets left empty are listed, ascending, in p.emptied.
+void patch_membership(std::vector<std::uint32_t>& members,
+                      std::vector<std::uint32_t>& starts,
+                      std::uint32_t old_clusters, std::uint32_t new_clusters,
+                      std::span<const MemberMove> moves, MembershipPatch& p) {
+  using Event = MembershipPatch::Event;
+  const auto old_range = [&](std::uint32_t b) {
+    if (b < old_clusters) return std::pair{starts[b], starts[b + 1]};
+    if (b < new_clusters) {
+      return std::pair{starts[old_clusters], starts[old_clusters]};
+    }
+    return std::pair{starts[old_clusters], starts[old_clusters + 1]};
+  };
+  const auto position = [&](std::uint32_t b, std::uint32_t slot) {
+    const auto [lo, hi] = old_range(b);
+    return static_cast<std::uint32_t>(
+        std::lower_bound(members.begin() + lo, members.begin() + hi, slot) -
+        members.begin());
+  };
+  p.events.clear();
+  for (const MemberMove& m : moves) {
+    if (m.from != kNoneId) {
+      p.events.push_back(Event{position(m.from, m.slot), 1, m.from, m.slot});
+    }
+    p.events.push_back(Event{position(m.to, m.slot), 0, m.to, m.slot});
+  }
+  // Position order is also bucket order (bucket ranges are contiguous and
+  // ordered; at a shared boundary inserts sort first, by bucket).
+  std::sort(p.events.begin(), p.events.end());
+
+  p.starts.resize(static_cast<std::size_t>(new_clusters) + 2);
+  p.starts[0] = 0;
+  p.emptied.clear();
+  std::int64_t net = 0;
+  std::size_t e = 0;
+  for (std::uint32_t b = 0; b <= new_clusters; ++b) {
+    for (; e < p.events.size() && p.events[e].bucket == b; ++e) {
+      net += p.events[e].kind == 0 ? 1 : -1;
+    }
+    p.starts[b + 1] =
+        static_cast<std::uint32_t>(old_range(b).second + net);
+    if (b < new_clusters && p.starts[b + 1] == p.starts[b]) {
+      p.emptied.push_back(b);
+    }
+  }
+
+  // Kept runs between events, each displaced by (inserts - deletes) before
+  // it.  Destinations are disjoint and ordered, so moving left-shifted runs
+  // front to back, then right-shifted runs back to front, never overwrites
+  // a run not yet moved.
+  const auto old_n = static_cast<std::uint32_t>(members.size());
+  p.segments.clear();
+  std::int64_t shift = 0;
+  std::uint32_t cur = 0;
+  for (Event& ev : p.events) {
+    if (ev.pos > cur) {
+      p.segments.push_back({cur, ev.pos, shift});
+      cur = ev.pos;
+    }
+    if (ev.kind == 0) {
+      ev.pos = static_cast<std::uint32_t>(ev.pos + shift);  // destination
+      ++shift;
+    } else {
+      cur = ev.pos + 1;
+      --shift;
+    }
+  }
+  if (cur < old_n) p.segments.push_back({cur, old_n, shift});
+  members.resize(p.starts.back());  // grows: every move re-inserts its slot
+  const auto at = [&](std::int64_t i) {
+    return members.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  for (const auto& s : p.segments) {
+    if (s.shift < 0) std::copy(at(s.begin), at(s.end), at(s.begin + s.shift));
+  }
+  for (auto it = p.segments.rbegin(); it != p.segments.rend(); ++it) {
+    if (it->shift > 0) {
+      std::copy_backward(at(it->begin), at(it->end), at(it->end + it->shift));
+    }
+  }
+  for (const Event& ev : p.events) {
+    if (ev.kind == 0) members[ev.pos] = ev.slot;
+  }
+  starts.assign(p.starts.begin(), p.starts.end());
+}
+
+/// Keep cluster ids dense after clusters emptied: each hole, lowest first,
+/// takes the highest-numbered surviving cluster (its members relabeled and
+/// its bucket rotated into the hole's place); emptied clusters at the top
+/// are dropped.  Cost per death: the moved cluster's size plus a block
+/// rotation up to the end of the cluster buckets.
+void fill_emptied_clusters(ClusterResult& r,
+                           std::span<const std::uint32_t> emptied) {
+  std::vector<std::uint32_t>& st = r.member_starts;
+  const auto at = [&](std::uint32_t i) {
+    return r.members.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  std::size_t lo = 0;
+  std::size_t hi = emptied.size();
+  while (lo < hi) {
+    const std::uint32_t last = r.cluster_count - 1;
+    if (emptied[hi - 1] != last) {
+      const std::uint32_t hole = emptied[lo++];
+      for (auto it = at(st[last]); it != at(st[last + 1]); ++it) {
+        r.labels[*it] = static_cast<std::int32_t>(hole);
+      }
+      std::rotate(at(st[hole]), at(st[last]), at(st[last + 1]));
+      const std::uint32_t size = st[last + 1] - st[last];
+      for (std::uint32_t b = hole + 1; b <= last; ++b) st[b] += size;
+    } else {
+      --hi;
+    }
+    // Bucket `last` is empty now: drop it, noise moves down one id.
+    st.erase(st.begin() + static_cast<std::ptrdiff_t>(last) + 1);
+    --r.cluster_count;
+  }
+}
+
 }  // namespace
 
 struct Clusterer::Impl {
@@ -139,12 +292,17 @@ struct Clusterer::Impl {
   // slot count, DSU growth).
   std::vector<std::uint32_t> rem_sorted;     ///< validated removal batch
   std::vector<std::uint32_t> expire_scratch; ///< advance() expiry ids
-  std::vector<std::uint8_t> new_core;        ///< post-mutation core flags
   std::vector<std::uint8_t> cluster_affected;  ///< old cluster lost a core
+  // wloc and claim_owner are all-kNoneId between repairs: each repair
+  // resets exactly the entries it set (wlist, claim_list), so neither
+  // costs a pass over the slots.
   std::vector<std::uint32_t> wloc;   ///< slot -> mini-DSU node, kNoneId out
   std::vector<std::uint32_t> wlist;  ///< mini-DSU node -> slot
   std::vector<std::uint8_t> claim;   ///< in-W border claims (serial CAS)
   std::vector<std::uint32_t> claim_owner;  ///< out-of-W noise -> claiming node
+  std::vector<std::uint32_t> claim_list;   ///< slots with a claim_owner entry
+  std::vector<MemberMove> member_moves;    ///< fast-path relabel delta
+  MembershipPatch patch;                   ///< .. and its block-move scratch
   std::optional<dsu::AtomicDisjointSet> mini_dsu;  ///< |W| + C_old nodes
   std::vector<std::uint32_t> rem_nbr_ids;     ///< removal-batch neighbor CSR
   std::vector<std::uint32_t> rem_nbr_starts;  ///< .. per-removed-id offsets
@@ -859,7 +1017,7 @@ struct Clusterer::Impl {
     // Stage 5 — label repair.  The result buffers are rewritten in place;
     // rollback is impossible mid-way, so a throw degrades.
     try {
-      maintain_labels(first_new, eps, min_pts);
+      maintain_labels(first_new, eps);
     } catch (...) {
       set_health(SessionHealth::kDegraded);
       result_current = false;
@@ -879,6 +1037,71 @@ struct Clusterer::Impl {
     return first_new;
   }
 
+  /// The post-mutation core test.  Only slots of the touched set can
+  /// disagree with result.is_core until the repair's final refresh.
+  [[nodiscard]] bool core_now(std::uint32_t i) const {
+    return is_live_slot(i) && counts[i] + 1 >= result.min_pts;
+  }
+
+  /// The stable-id relabel of maintain_labels().  Every old cluster keeps
+  /// its id (a split's residual component included); components of W that
+  /// reach no old cluster — births, and the splinters of a split — take the
+  /// next free ids; a cluster that emptied hands its id to the
+  /// highest-numbered one (fill_emptied_clusters).  Only W, the claimed
+  /// out-of-W slots and the removed slots are rewritten, labels and
+  /// membership table both, by delta: every other slot keeps its label in
+  /// the full relabel too (through its own cluster's anchor).  Returns
+  /// false, having changed nothing, when two old clusters merged (one id
+  /// would have to go) or when the delta exceeds n/8 slots (a renumbering
+  /// pass is cheaper); the caller then renumbers everything.
+  bool relabel_in_place(std::size_t first_new, std::uint32_t c_old) {
+    ClusterResult& r = result;
+    const std::size_t w_count = wlist.size();
+    std::fill(root_scratch.begin(), root_scratch.end(), dbscan::kNoiseLabel);
+    for (std::uint32_t c = 0; c < c_old; ++c) {
+      std::int32_t& id = root_scratch[mini_dsu->find(
+          static_cast<std::uint32_t>(w_count + c))];
+      if (id != dbscan::kNoiseLabel) return false;  // two anchors: a merge
+      id = static_cast<std::int32_t>(c);
+    }
+    std::uint32_t c_new = c_old;
+    const auto label_of = [&](std::uint32_t node) {
+      std::int32_t& id = root_scratch[mini_dsu->find(node)];
+      if (id == dbscan::kNoiseLabel) id = static_cast<std::int32_t>(c_new++);
+      return id;
+    };
+    const auto new_label = [&](std::uint32_t w) {
+      return core_now(wlist[w]) || claim[w] ? label_of(w) : kNoise;
+    };
+    for (std::uint32_t w = 0; w < w_count; ++w) (void)new_label(w);
+
+    const auto bucket = [&](std::int32_t label) {
+      return label == kNoise ? c_new : static_cast<std::uint32_t>(label);
+    };
+    member_moves.clear();
+    const auto move = [&](std::uint32_t i, std::int32_t to) {
+      const bool fresh = i >= first_new;
+      if (!fresh && r.labels[i] == to) return;
+      member_moves.push_back(
+          {i, fresh ? kNoneId : bucket(r.labels[i]), bucket(to)});
+    };
+    for (std::uint32_t w = 0; w < w_count; ++w) move(wlist[w], new_label(w));
+    for (const std::uint32_t j : claim_list) {
+      move(j, label_of(claim_owner[j]));  // old noise, or a split's border
+    }
+    for (const std::uint32_t id : rem_sorted) move(id, kNoise);
+    if (member_moves.size() > r.labels.size() / 8) return false;
+    patch_membership(r.members, r.member_starts, c_old, c_new, member_moves,
+                     patch);
+    for (const MemberMove& m : member_moves) {
+      r.labels[m.slot] =
+          m.to == c_new ? kNoise : static_cast<std::int32_t>(m.to);
+    }
+    r.cluster_count = c_new;
+    fill_emptied_clusters(r, patch.emptied);
+    return true;
+  }
+
   /// Localized label repair after one mutation batch — the incremental
   /// phase 2.  Correctness rests on two monotonicity facts:
   ///   * insertions cannot SPLIT a cluster (ε-edges only appear), and
@@ -895,30 +1118,49 @@ struct Clusterer::Impl {
   /// 2's union rules with queries only from W's cores; the relabel pass
   /// then maps old labels through the anchors, so intact clusters merge
   /// or persist without their members ever being queried.
-  void maintain_labels(std::size_t first_new, float eps,
-                       std::uint32_t min_pts) {
+  ///
+  /// No stage makes a pass over the slots on a step that merges nothing.
+  /// The TOUCHED set T — removed ids, inserted ids, and the neighbors the
+  /// count maintenance captured for both — holds every slot whose count
+  /// changed, hence every slot whose core flag can change: the cut list,
+  /// the promoted list and the final is_core / neighbor_counts refresh all
+  /// come from T.  The relabel keeps every old cluster id and rewrites only
+  /// W, the claimed slots and the removed slots, patching the membership
+  /// table by delta (relabel_in_place).  Only a merge of two old clusters,
+  /// or a delta above n/8 slots, falls back to a first-seen renumbering of
+  /// every slot plus build_membership().  The fast step costs
+  /// O(|T| + |W| + C_old) plus block moves in the membership table.
+  void maintain_labels(std::size_t first_new, float eps) {
     RTD_TRACE_SPAN("session.repair");
     const Timer phase_timer;
     ClusterResult& r = result;
     const std::size_t n = pts.size();
     const std::uint32_t c_old = r.cluster_count;
 
-    // Post-mutation core flags; r.is_core keeps the PRE-mutation flags
-    // until the relabel pass (the affected-set logic needs both).
-    new_core.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      new_core[i] = is_live_slot(i) && counts[i] + 1 >= min_pts ? 1 : 0;
-    }
+    // T = rem_sorted + rem_nbrs + [first_new, n) + ins_nbrs.  r.is_core
+    // keeps the PRE-mutation flags until the final refresh (the
+    // affected-set logic needs both).  A neighbor CSR is stale when its
+    // half of the batch was empty.
+    const std::span<const std::uint32_t> rem_nbrs =
+        rem_sorted.empty() ? std::span<const std::uint32_t>{}
+                           : std::span<const std::uint32_t>(rem_nbr_ids);
+    const std::span<const std::uint32_t> ins_nbrs =
+        first_new == n ? std::span<const std::uint32_t>{}
+                       : std::span<const std::uint32_t>(ins_nbr_ids);
 
     // CUT nodes: old cores that are no longer cores (removed, or demoted by
-    // the batch).  Only paths through them can break, so only their clusters
-    // can split or shed borders.  (Scratch buffers grow via resize, not
-    // assign: resize grows geometrically, so warm mutations on a growing
-    // session amortize to allocation-free instead of reallocating.)
+    // the batch — only removals lower a count).  Only paths through them can
+    // break, so only their clusters can split or shed borders.  (Scratch
+    // buffers grow via resize, not assign: resize grows geometrically, so
+    // warm mutations on a growing session amortize to allocation-free
+    // instead of reallocating.)
     cut_list.clear();
-    for (std::uint32_t i = 0; i < first_new; ++i) {
-      if (r.is_core[i] && !new_core[i] && r.labels[i] >= 0) {
-        cut_list.push_back(i);
+    for (const auto ids : {std::span<const std::uint32_t>(rem_sorted),
+                           rem_nbrs}) {
+      for (const std::uint32_t i : ids) {
+        if (r.is_core[i] && !core_now(i) && r.labels[i] >= 0) {
+          cut_list.push_back(i);
+        }
       }
     }
     std::sort(cut_list.begin(), cut_list.end(),
@@ -926,18 +1168,35 @@ struct Clusterer::Impl {
                 return r.labels[a] != r.labels[b] ? r.labels[a] < r.labels[b]
                                                   : a < b;
               });
-    cluster_affected.resize(c_old);  // 1 = proven/possible split: full repair
+    cut_list.erase(std::unique(cut_list.begin(), cut_list.end()),
+                   cut_list.end());
+    cluster_affected.resize(c_old);  // 1 = proven/possible split
     std::fill(cluster_affected.begin(), cluster_affected.end(),
               std::uint8_t{0});
 
-    // The repair set W (wlist), with wloc as the slot -> node map.
-    wloc.resize(n);
-    std::fill(wloc.begin(), wloc.end(), kNoneId);
+    // The repair set W (wlist), with wloc as the slot -> node map.  The
+    // guard hands wloc and claim_owner back all-kNoneId however the repair
+    // ends; every entry is recorded (push first) before it is set.
+    if (wloc.size() < n) wloc.resize(n, kNoneId);
+    if (claim_owner.size() < n) claim_owner.resize(n, kNoneId);
     wlist.clear();
+    claim_list.clear();
+    struct ScratchReset {
+      Impl& im;
+      explicit ScratchReset(Impl& s) : im(s) {}
+      ScratchReset(const ScratchReset&) = delete;
+      ScratchReset& operator=(const ScratchReset&) = delete;
+      ~ScratchReset() {
+        for (const std::uint32_t i : im.wlist) im.wloc[i] = kNoneId;
+        for (const std::uint32_t j : im.claim_list) {
+          im.claim_owner[j] = kNoneId;
+        }
+      }
+    } const scratch_reset{*this};
     const auto add_w = [&](std::uint32_t i) {
       if (wloc[i] == kNoneId) {
-        wloc[i] = static_cast<std::uint32_t>(wlist.size());
         wlist.push_back(i);
+        wloc[i] = static_cast<std::uint32_t>(wlist.size() - 1);
       }
     };
 
@@ -1024,7 +1283,7 @@ struct Clusterer::Impl {
         seed_list.clear();
         const auto classify = [&](std::uint32_t j) {
           if (!is_live_slot(j)) return;
-          if (new_core[j]) {
+          if (core_now(j)) {
             if (r.is_core[j] && r.labels[j] == c && seed_mark[j] != epoch) {
               seed_mark[j] = epoch;
               seed_list.push_back(j);
@@ -1190,7 +1449,7 @@ struct Clusterer::Impl {
             index->query_sphere(
                 pts[u], eps, u,
                 [&](std::uint32_t j) {
-                  if (!is_live_slot(j) || !new_core[j] || !r.is_core[j] ||
+                  if (!is_live_slot(j) || !core_now(j) || !r.is_core[j] ||
                       r.labels[j] != c) {
                     return;
                   }
@@ -1249,8 +1508,10 @@ struct Clusterer::Impl {
       }
       lo = hi;
     }
-    for (std::uint32_t i = 0; i < first_new; ++i) {
-      if (!r.is_core[i] && new_core[i]) add_w(i);  // promoted border/noise
+    for (const std::uint32_t i : ins_nbrs) {  // only inserts raise a count
+      if (i < first_new && !r.is_core[i] && core_now(i)) {
+        add_w(i);  // promoted border/noise
+      }
     }
     for (std::uint32_t i = static_cast<std::uint32_t>(first_new); i < n;
          ++i) {
@@ -1270,8 +1531,6 @@ struct Clusterer::Impl {
     }
     claim.resize(w_count);
     std::fill(claim.begin(), claim.end(), std::uint8_t{0});
-    claim_owner.resize(n);
-    std::fill(claim_owner.begin(), claim_owner.end(), kNoneId);
 
     // Pass A — phase 2's union rules, queried only from W's core points:
     // core-core merges (to an in-W node or an out-of-W cluster anchor),
@@ -1285,19 +1544,19 @@ struct Clusterer::Impl {
     RTD_FAILPOINT("repair.union");
     for (std::uint32_t w = 0; w < w_count; ++w) {
       const std::uint32_t i = wlist[w];
-      if (!new_core[i]) continue;
+      if (!core_now(i)) continue;
       index->query_sphere(
           pts[i], eps, i,
           [&](std::uint32_t j) {
             const std::uint32_t wj = wloc[j];
             if (wj != kNoneId) {
-              if (new_core[j]) {
+              if (core_now(j)) {
                 if (j > i) mini_dsu->unite(w, wj);
               } else if (!claim[wj]) {
                 claim[wj] = 1;
                 mini_dsu->unite(w, wj);
               }
-            } else if (new_core[j]) {
+            } else if (core_now(j)) {
               // Out-of-W core: proven intact, or the residual component
               // of a split cluster (splinters joined W; a splinter core
               // within ε of a residual core would have merged with it
@@ -1314,6 +1573,7 @@ struct Clusterer::Impl {
               // valid home — claim it.  Borders of intact clusters keep
               // their anchor: their witness either survived out of W or
               // sits in W with its old label's identity.
+              claim_list.push_back(j);
               claim_owner[j] = w;
             }
           },
@@ -1326,11 +1586,11 @@ struct Clusterer::Impl {
     RTD_FAILPOINT("repair.border");
     for (std::uint32_t w = 0; w < w_count; ++w) {
       const std::uint32_t i = wlist[w];
-      if (new_core[i] || claim[w]) continue;
+      if (core_now(i) || claim[w]) continue;
       index->query_sphere(
           pts[i], eps, i,
           [&](std::uint32_t j) {
-            if (claim[w] || !new_core[j]) return;
+            if (claim[w] || !core_now(j)) return;
             claim[w] = 1;
             const std::uint32_t wj = wloc[j];
             mini_dsu->unite(
@@ -1339,48 +1599,65 @@ struct Clusterer::Impl {
           work);
     }
 
-    // Relabel: first-seen dense ids over the mini-DSU roots.  In-W slots
-    // resolve through their own node, out-of-W labeled slots through their
-    // cluster's anchor, claimed out-of-W noise through the claiming node.
-    // (Label VALUES are not stable across mutations — only the partition.)
+    // Relabel: in place with stable ids, unless two clusters merged or the
+    // change is large — then a first-seen dense renumbering over the
+    // mini-DSU roots runs over every slot.
     RTD_FAILPOINT("repair.relabel");
     r.labels.resize(n, kNoise);
     root_scratch.resize(nodes);
-    std::fill(root_scratch.begin(), root_scratch.end(), dbscan::kNoiseLabel);
-    std::int32_t next = 0;
-    const auto label_of = [&](std::uint32_t node) {
-      const std::uint32_t root = mini_dsu->find(node);
-      if (root_scratch[root] == dbscan::kNoiseLabel) {
-        root_scratch[root] = next++;
+    const bool full = !relabel_in_place(first_new, c_old);
+    if (full) {
+      // In-W slots resolve through their own node, out-of-W labeled slots
+      // through their cluster's anchor, claimed out-of-W noise through the
+      // claiming node.
+      telemetry::count(telemetry::Counter::kSessionRepairFullRelabels);
+      std::fill(root_scratch.begin(), root_scratch.end(),
+                dbscan::kNoiseLabel);
+      std::int32_t next = 0;
+      const auto label_of = [&](std::uint32_t node) {
+        const std::uint32_t root = mini_dsu->find(node);
+        if (root_scratch[root] == dbscan::kNoiseLabel) {
+          root_scratch[root] = next++;
+        }
+        return root_scratch[root];
+      };
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (!is_live_slot(i)) {
+          r.labels[i] = kNoise;
+          continue;
+        }
+        const std::uint32_t w = wloc[i];
+        if (w != kNoneId) {
+          r.labels[i] = core_now(i) || claim[w] ? label_of(w) : kNoise;
+        } else if (r.labels[i] >= 0 &&
+                   !(claim_owner[i] != kNoneId &&
+                     cluster_affected[static_cast<std::size_t>(
+                         r.labels[i])])) {
+          r.labels[i] = label_of(cluster_node(r.labels[i]));
+        } else if (claim_owner[i] != kNoneId) {
+          // Claimed: old noise a new core reached, or a border of a split
+          // cluster re-homed by a W core (its old witness may be in a
+          // splinter; the claiming core is a live witness by construction).
+          r.labels[i] = label_of(claim_owner[i]);
+        }
       }
-      return root_scratch[root];
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!is_live_slot(i)) {
-        r.labels[i] = kNoise;
-        continue;
-      }
-      const std::uint32_t w = wloc[i];
-      if (w != kNoneId) {
-        r.labels[i] = new_core[i] || claim[w] ? label_of(w) : kNoise;
-      } else if (r.labels[i] >= 0 &&
-                 !(claim_owner[i] != kNoneId &&
-                   cluster_affected[static_cast<std::size_t>(
-                       r.labels[i])])) {
-        r.labels[i] = label_of(cluster_node(r.labels[i]));
-      } else if (claim_owner[i] != kNoneId) {
-        // Claimed: old noise a new core reached, or a border of a split
-        // cluster re-homed by a W core (its old witness may be in a
-        // splinter; the claiming core is a live witness by construction).
-        r.labels[i] = label_of(claim_owner[i]);
-      }
+      r.cluster_count = static_cast<std::uint32_t>(next);
     }
-    r.cluster_count = static_cast<std::uint32_t>(next);
+    // Core flags and counts changed on T only.
     r.is_core.resize(n);
-    std::copy(new_core.begin(), new_core.end(), r.is_core.begin());
     r.neighbor_counts.resize(n);
-    std::copy(counts.begin(), counts.end(), r.neighbor_counts.begin());
-    build_membership();
+    const auto refresh = [&](std::uint32_t i) {
+      r.is_core[i] = core_now(i) ? 1 : 0;
+      r.neighbor_counts[i] = counts[i];
+    };
+    for (const auto ids : {std::span<const std::uint32_t>(rem_sorted),
+                           rem_nbrs, ins_nbrs}) {
+      for (const std::uint32_t i : ids) refresh(i);
+    }
+    for (auto i = static_cast<std::uint32_t>(first_new); i < n; ++i) {
+      refresh(i);
+    }
+    if (full) build_membership();
 
     RunStats& st = r.stats;
     st.phase2.work += work;
@@ -1817,6 +2094,14 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
            " tombstones");
     }
   }
+  // The label repair resets only the scratch entries it set, so a stale
+  // one (a missed reset on some exit path) would corrupt a later repair.
+  for (const auto* scratch : {&im.wloc, &im.claim_owner}) {
+    if (std::any_of(scratch->begin(), scratch->end(),
+                    [](std::uint32_t v) { return v != kNoneId; })) {
+      fail("label-repair scratch kept a stale entry between repairs");
+    }
+  }
   if (im.oldest_live > n) {
     fail("advance() cursor " + std::to_string(im.oldest_live) +
          " is past the slot space");
@@ -1917,6 +2202,12 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
       const std::int32_t want = b + 1 == buckets
                                     ? kNoise
                                     : static_cast<std::int32_t>(b);
+      if (want != kNoise && r.member_starts[b] == r.member_starts[b + 1]) {
+        fail("cluster " + std::to_string(b) +
+             " is empty: cluster ids below cluster_count must all be used");
+        csr_ok = false;
+        break;
+      }
       for (std::uint32_t t = r.member_starts[b];
            t < r.member_starts[b + 1]; ++t) {
         const std::uint32_t m = r.members[t];
@@ -1924,6 +2215,12 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
           fail("membership bucket " + std::to_string(b) +
                " holds slot " + std::to_string(m) +
                " out of place");
+          csr_ok = false;
+          break;
+        }
+        if (t > r.member_starts[b] && r.members[t - 1] >= m) {
+          fail("membership bucket " + std::to_string(b) +
+               " is not ascending at slot " + std::to_string(m));
           csr_ok = false;
           break;
         }

@@ -44,11 +44,21 @@
 //     amortized refits; grid/dense-box rebuild — they cannot absorb
 //     inserts), neighbor counts are maintained with one ε-query per mutated
 //     point, and labels are repaired by re-unioning only the affected
-//     ε-neighborhoods through a miniature phase 2 (unaffected clusters keep
-//     their labels untouched).  result() is the maintained clustering,
-//     identical (up to border ambiguity) to a from-scratch run at the same
-//     parameters — tests/test_incremental.cpp enforces parity after every
-//     mutation.
+//     ε-neighborhoods through a miniature phase 2.  The repair is driven by
+//     the touched set (mutated points and their ε-neighbors, the only slots
+//     whose core flag can change) and patches labels and the membership
+//     table by delta, so a step costs about the size of the mutation, not
+//     of the session.  result() is the maintained clustering, identical (up
+//     to border ambiguity) to a from-scratch run at the same parameters —
+//     tests/test_incremental.cpp enforces parity after every mutation.
+//   * Cluster ids: only the partition is contractual, but ids are kept
+//     stable where the cluster set allows.  Every old cluster keeps its id
+//     (a split's residual component too), new clusters take the next free
+//     ids, and an emptied cluster's id passes to the highest-numbered one
+//     to keep ids dense.  A mutation that merges two old clusters, or
+//     changes more than n/8 labels, renumbers every cluster (first seen
+//     in slot order) and is counted by the session.repair_full_relabels
+//     telemetry counter.
 //   * Ids are SLOT ids and stay stable across mutations: removed points
 //     keep their slot, labeled kNoise with is_core 0 and neighbor count 0
 //     (they also remain in the result's noise bucket — filter with
@@ -281,8 +291,9 @@ enum class SessionHealth : std::uint8_t {
 /// How deep validate() audits the session (cost grows with the level).
 enum class ValidationLevel : std::uint8_t {
   /// O(n) structural invariants: mask/result/count buffer agreement, label
-  /// ranges, membership-CSR well-formedness, dead-slot hygiene, core-flag
-  /// consistency with the cached counts.
+  /// ranges, membership-CSR well-formedness (a permutation, ascending in
+  /// every bucket, no empty cluster), dead-slot hygiene, core-flag
+  /// consistency with the cached counts, clean label-repair scratch.
   kQuick,
   /// kQuick + an exact neighbor recount of every live point against the raw
   /// coordinates (O(n_live²) — no index involved, so it also cross-checks

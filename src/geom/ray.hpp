@@ -7,8 +7,10 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "geom/aabb.hpp"
 #include "geom/vec3.hpp"
@@ -112,23 +114,60 @@ struct Triangle {
   }
 };
 
-/// Moller-Trumbore ray-triangle intersection ("hardware" triangle test).
+/// Watertight ray-triangle intersection ("hardware" triangle test; Woop,
+/// Benthin & Wald, JCGT 2013).  The ray's dominant axis becomes z and the
+/// vertices are sheared into the ray's frame, so each edge test is a 2-D
+/// edge function of vertex coordinates alone: two triangles sharing an
+/// edge compute it exactly negated, and a ray through the edge (or a
+/// shared vertex) hits at least one of them.  Möller–Trumbore computes
+/// each triangle's barycentrics from its own edge vectors and can miss
+/// both.  Edge functions that round to zero are redone in double.  No
+/// culling: hits from either side.
 inline bool ray_intersects_triangle(const Ray& ray, const Triangle& tri,
                                     float* t_hit = nullptr) {
-  constexpr float kEps = 1e-12f;
-  const Vec3 e1 = tri.b - tri.a;
-  const Vec3 e2 = tri.c - tri.a;
-  const Vec3 pvec = cross(ray.direction, e2);
-  const float det = dot(e1, pvec);
-  if (std::fabs(det) < kEps) return false;
-  const float inv_det = 1.0f / det;
-  const Vec3 tvec = ray.origin - tri.a;
-  const float u = dot(tvec, pvec) * inv_det;
-  if (u < 0.0f || u > 1.0f) return false;
-  const Vec3 qvec = cross(tvec, e1);
-  const float v = dot(ray.direction, qvec) * inv_det;
-  if (v < 0.0f || u + v > 1.0f) return false;
-  const float t = dot(e2, qvec) * inv_det;
+  const Vec3& d = ray.direction;
+  const float dx = std::fabs(d.x);
+  const float dy = std::fabs(d.y);
+  const float dz = std::fabs(d.z);
+  const std::size_t kz = dx > dy ? (dx > dz ? 0 : 2) : (dy > dz ? 1 : 2);
+  if (d[kz] == 0.0f) return false;  // zero direction
+  std::size_t kx = (kz + 1) % 3;
+  std::size_t ky = (kx + 1) % 3;
+  if (d[kz] < 0.0f) std::swap(kx, ky);  // keep the winding
+  const float sz = 1.0f / d[kz];
+  const float sx = d[kx] * sz;
+  const float sy = d[ky] * sz;
+
+  const Vec3 a = tri.a - ray.origin;
+  const Vec3 b = tri.b - ray.origin;
+  const Vec3 c = tri.c - ray.origin;
+  const float ax = a[kx] - sx * a[kz];
+  const float ay = a[ky] - sy * a[kz];
+  const float bx = b[kx] - sx * b[kz];
+  const float by = b[ky] - sy * b[kz];
+  const float cx = c[kx] - sx * c[kz];
+  const float cy = c[ky] - sy * c[kz];
+  float u = cx * by - cy * bx;
+  float v = ax * cy - ay * cx;
+  float w = bx * ay - by * ax;
+  if (u == 0.0f || v == 0.0f || w == 0.0f) {
+    const auto edge = [](float px, float py, float qx, float qy) {
+      return static_cast<float>(
+          static_cast<double>(px) * static_cast<double>(qy) -
+          static_cast<double>(py) * static_cast<double>(qx));
+    };
+    u = edge(cx, cy, bx, by);
+    v = edge(ax, ay, cx, cy);
+    w = edge(bx, by, ax, ay);
+  }
+  if ((u < 0.0f || v < 0.0f || w < 0.0f) &&
+      (u > 0.0f || v > 0.0f || w > 0.0f)) {
+    return false;
+  }
+  const float det = u + v + w;
+  if (det == 0.0f) return false;  // ray in the triangle's plane
+  const float t =
+      (u * (sz * a[kz]) + v * (sz * b[kz]) + w * (sz * c[kz])) / det;
   if (t < ray.tmin || t > ray.tmax) return false;
   if (t_hit != nullptr) *t_hit = t;
   return true;

@@ -91,9 +91,10 @@ class SphereAccel {
 };
 
 /// Acceleration structure over triangles, each owned by a data point
-/// (tessellated sphere).  The primitive test runs "in hardware"
-/// (Moller-Trumbore here); accepted hits are delivered to the user AnyHit
-/// program, which is exactly the costly path the paper measured (§VI-C).
+/// (tessellated sphere).  The primitive test runs "in hardware" (a
+/// watertight ray-triangle test); accepted hits are delivered to the user
+/// AnyHit program, which is exactly the costly path the paper measured
+/// (§VI-C).
 ///
 /// Like SphereAccel, the triangle scene traverses the wide (8-ary SoA)
 /// layout when BuildOptions::width selects it — the ray-vs-8-slab kernel

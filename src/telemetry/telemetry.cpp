@@ -40,6 +40,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "session.points_inserted",
     "session.points_removed",
     "session.removes",
+    "session.repair_full_relabels",
     "session.runs",
     "session.sweep_entries",
     "session.sweeps",

@@ -84,6 +84,7 @@ enum class Counter : std::uint16_t {
   kSessionPointsInserted,      // session.points_inserted
   kSessionPointsRemoved,       // session.points_removed
   kSessionRemoves,             // session.removes
+  kSessionRepairFullRelabels,  // session.repair_full_relabels
   kSessionRuns,                // session.runs
   kSessionSweepEntries,        // session.sweep_entries
   kSessionSweeps,              // session.sweeps

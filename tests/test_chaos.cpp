@@ -316,6 +316,10 @@ TEST(ChaosConcurrent, ReadersSurviveWriterFaults) {
     });
   }
 
+  // The writer's 60 steps can finish within a few milliseconds, before a
+  // reader thread is even scheduled: let the readers get going first.
+  while (reads.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+
   Rng rng(0xFA11);
   float eps = 0.3f;
   const std::vector<std::string> writer_sites{

@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -92,10 +94,19 @@ void expect_result_consistent(const Clusterer& session, const char* what) {
   EXPECT_EQ(session.live_count(), live) << what;
 }
 
+/// validate() at `level` passes, reporting the first issue otherwise.
+void expect_valid(const Clusterer& session, ValidationLevel level,
+                  const std::string& what) {
+  const ValidationReport rep = session.validate(level);
+  EXPECT_TRUE(rep.ok) << what << ": "
+                      << (rep.issues.empty() ? "" : rep.issues.front());
+}
+
 /// The acceptance criterion: live-restricted session labels equivalent to a
 /// from-scratch cluster() over the live points.
 void expect_oracle_parity(const Clusterer& session, const char* what) {
   expect_result_consistent(session, what);
+  expect_valid(session, ValidationLevel::kQuick, what);
   const LiveView v = live_view(session);
   const float eps = session.result().eps;
   const std::uint32_t min_pts = session.result().min_pts;
@@ -249,6 +260,7 @@ TEST(IncrementalEdge, BridgeInsertMergesAndRemovalSplits) {
   const std::size_t first = session.insert(bridge);
   EXPECT_EQ(session.result().cluster_count, 1u);
   expect_oracle_parity(session, "after bridge insert");
+  expect_valid(session, ValidationLevel::kDeep, "after bridge insert");
 
   // Cutting the chain in the middle splits the merged cluster again.
   std::vector<std::uint32_t> cut;
@@ -258,6 +270,7 @@ TEST(IncrementalEdge, BridgeInsertMergesAndRemovalSplits) {
   session.remove(cut);
   EXPECT_EQ(session.result().cluster_count, 2u);
   expect_oracle_parity(session, "after bridge cut");
+  expect_valid(session, ValidationLevel::kDeep, "after bridge cut");
 }
 
 TEST(IncrementalEdge, RemovingACoreDissolvesAMinimalCluster) {
@@ -270,6 +283,7 @@ TEST(IncrementalEdge, RemovingACoreDissolvesAMinimalCluster) {
   session.remove(std::vector<std::uint32_t>{1});
   EXPECT_EQ(session.result().cluster_count, 0u);
   expect_oracle_parity(session, "dissolved cluster");
+  expect_valid(session, ValidationLevel::kDeep, "dissolved cluster");
 }
 
 TEST(IncrementalEdge, InsertPromotesBorderAndCapturesOldNoise) {
@@ -285,6 +299,7 @@ TEST(IncrementalEdge, InsertPromotesBorderAndCapturesOldNoise) {
   EXPECT_NE(session.result().labels[0], kNoise);
   EXPECT_NE(session.result().labels[1], kNoise);
   expect_oracle_parity(session, "promotion");
+  expect_valid(session, ValidationLevel::kDeep, "promotion");
 }
 
 TEST(IncrementalEdge, EmptySessionStreamsFromNothing) {
@@ -296,6 +311,7 @@ TEST(IncrementalEdge, EmptySessionStreamsFromNothing) {
   EXPECT_EQ(first, 0u);
   EXPECT_EQ(session.live_count(), batch.size());
   expect_oracle_parity(session, "stream from empty");
+  expect_valid(session, ValidationLevel::kDeep, "stream from empty");
 }
 
 TEST(IncrementalEdge, MutationsAfterSweepMaintainTheLastLadderEntry) {
@@ -307,6 +323,48 @@ TEST(IncrementalEdge, MutationsAfterSweepMaintainTheLastLadderEntry) {
   (void)session.insert(data::taxi_gps(60, 109).points);
   session.remove(std::vector<std::uint32_t>{3, 500, 899});
   expect_oracle_parity(session, "post-sweep stream");
+  expect_valid(session, ValidationLevel::kDeep, "post-sweep stream");
+}
+
+TEST(IncrementalEdge, AdvancesKeepUntouchedClusterIds) {
+  // Two far-apart cliques, A's slots first.  Each B=1 advance expires one
+  // of A's oldest points and appends one inside A, so A never loses or
+  // gains a core and B is never touched.  Every label outside the expired
+  // and appended slots must keep its VALUE — also once all of A's first
+  // points are gone, where a first-seen renumbering would swap the ids.
+  std::vector<Vec3> pts;
+  const auto clique = [](float x0, int k) {
+    return Vec3{x0 + 0.05f * static_cast<float>(k % 6),
+                0.05f * static_cast<float>(k / 6), 0.0f};
+  };
+  constexpr int kPerCluster = 30;
+  for (int k = 0; k < kPerCluster; ++k) pts.push_back(clique(0.0f, k));
+  for (int k = 0; k < kPerCluster; ++k) pts.push_back(clique(50.0f, k));
+  for (const int threads : {1, 4}) {
+    Clusterer session(pts, Options().with_threads(threads));
+    (void)session.run(1.0f, 4);
+    ASSERT_EQ(session.result().cluster_count, 2u);
+    const std::int32_t a_id = session.result().labels[0];
+    const std::int32_t b_id = session.result().labels[kPerCluster];
+    for (int step = 0; step < kPerCluster; ++step) {
+      const std::vector<std::int32_t> before = session.result().labels;
+      const std::array<Vec3, 1> arrival = {clique(0.01f, step)};
+      const std::size_t first = session.advance(arrival, 1);
+      const ClusterResult& r = session.result();
+      ASSERT_EQ(r.cluster_count, 2u) << "step " << step;
+      EXPECT_EQ(r.labels[first], a_id) << "step " << step;
+      for (std::size_t i = 0; i < first; ++i) {
+        if (!session.is_live(static_cast<std::uint32_t>(i))) continue;
+        EXPECT_EQ(r.labels[i], before[i])
+            << "untouched slot " << i << " relabeled at step " << step;
+      }
+      EXPECT_EQ(r.labels[kPerCluster], b_id) << "step " << step;
+      expect_valid(session, ValidationLevel::kDeep,
+                   "stable ids step " + std::to_string(step));
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_FALSE(session.is_live(kPerCluster - 1));  // all of A turned over
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -448,6 +506,36 @@ TEST(IncrementalSoak, SeededMutationStormMatchesOracleOnEveryBackend) {
       }
       expect_oracle_parity(session, index::to_string(kind));
       if (::testing::Test::HasFailure()) return;  // first divergence only
+    }
+  }
+}
+
+TEST(IncrementalSoak, B1StreamValidatesOnEveryAbsorbingBackend) {
+  // The streaming shape of the paper's repeated-clustering workflow: a
+  // sliding taxi_gps window advanced one point at a time.  The structural
+  // audit runs after every step, the oracle-parity audit every 50th (its
+  // exact recount is O(live²), hence the small window).  The window turns
+  // over births, deaths, merges and splits of small clusters.
+  constexpr std::size_t kWindow = 3000;
+  constexpr std::size_t kSteps = 400;
+  const auto stream = data::taxi_gps(kWindow + kSteps, 2024);
+  const std::span<const Vec3> all(stream.points);
+  for (const IndexKind kind :
+       {IndexKind::kBruteForce, IndexKind::kPointBvh, IndexKind::kBvhRt}) {
+    for (const int threads : {1, 4}) {
+      const std::string what = std::string(index::to_string(kind)) + " x" +
+                               std::to_string(threads);
+      Clusterer session(all.subspan(0, kWindow),
+                        Options().with_backend(kind).with_threads(threads));
+      (void)session.run(0.08f, 4);
+      for (std::size_t step = 0; step < kSteps; ++step) {
+        (void)session.advance(all.subspan(kWindow + step, 1), 1);
+        const std::string at = what + " step " + std::to_string(step);
+        expect_valid(session, ValidationLevel::kQuick, at);
+        if (step % 50 == 49) expect_valid(session, ValidationLevel::kDeep, at);
+        if (::testing::Test::HasFailure()) return;
+      }
+      EXPECT_EQ(session.live_count(), kWindow) << what;
     }
   }
 }

@@ -421,6 +421,31 @@ TEST(TriangleIndexParity, RetargetedMeshKeepsParity) {
                std::invalid_argument);
 }
 
+TEST(TriangleIndexParity, RaysLeavingThroughSharedEdgesStillCount) {
+  // On this input the +z query rays of points 0 and 1827 leave one
+  // neighbor's shell through an edge two triangles share; a ray-triangle
+  // test that is not watertight missed both hits and counted each point
+  // one short (2207 and 2908).
+  const auto dataset = data::taxi_gps(20000, 2023);
+  const std::span<const Vec3> pts(dataset.points);
+  const float eps = 0.3f;
+  for (const rt::TraversalWidth width :
+       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
+    rt::Context::Options options;
+    options.build.width = width;
+    const TriangleIndex mesh(pts, eps, 0, options);
+    for (const std::uint32_t q : {0u, 1827u}) {
+      const auto expected = brute_neighbors(pts, pts[q], eps, q);
+      EXPECT_EQ(expected.size(), q == 0 ? 2208u : 2909u);
+      EXPECT_EQ(sorted_neighbors(mesh, pts[q], eps, q), expected)
+          << rt::to_string(width) << ", query " << q;
+      rt::TraversalStats stats;
+      EXPECT_EQ(mesh.query_count(pts[q], eps, q, stats), expected.size())
+          << rt::to_string(width) << ", query " << q;
+    }
+  }
+}
+
 TEST(NeighborIndex, DenseBoxHandlesRadiiFarAboveBuildEps) {
   // Build with a tiny eps over spread data, then query with a radius
   // thousands of cells wide: the index must degrade to a scan (not walk an

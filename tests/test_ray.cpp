@@ -125,12 +125,42 @@ TEST(RayTriangle, ParallelRayMisses) {
 }
 
 TEST(RayTriangle, BackfaceStillHits) {
-  // Moller-Trumbore without culling: hits from both sides.
+  // No culling: hits from both sides.
   const Triangle tri{{0, 0, 1}, {1, 0, 1}, {0, 1, 1}};
   const Ray ray{{0.2f, 0.2f, 2.0f}, {0.0f, 0.0f, -1.0f}, 0.0f, 10.0f};
   float t = -1.0f;
   EXPECT_TRUE(ray_intersects_triangle(ray, tri, &t));
   EXPECT_FLOAT_EQ(t, 1.0f);
+}
+
+TEST(RayTriangle, SharedEdgeAndVertexAreWatertight) {
+  // A quad split along its diagonal, and a fan of triangles around one
+  // vertex: a ray through the shared edge or the shared vertex must hit at
+  // least one triangle of the pair / fan, however the crossing rounds.
+  const Vec3 p0{0.1f, 0.3f, 1.0f};
+  const Vec3 p1{1.7f, 0.2f, 1.3f};
+  const Vec3 p2{1.9f, 1.6f, 0.7f};
+  const Vec3 p3{0.3f, 1.9f, 1.1f};
+  const Triangle lower{p0, p1, p2};
+  const Triangle upper{p0, p2, p3};
+  for (int k = 0; k < 1000; ++k) {  // p0 + (p2 - p0) rounds off the quad
+    const float s = static_cast<float>(k) / 1000.0f;
+    const Vec3 on_edge = p0 + (p2 - p0) * s;
+    const Ray ray{{on_edge.x, on_edge.y, -1.0f}, {0, 0, 1}, 0.0f, 10.0f};
+    EXPECT_TRUE(ray_intersects_triangle(ray, lower) ||
+                ray_intersects_triangle(ray, upper))
+        << "diagonal crossing " << k;
+  }
+  const Vec3 hub{0.5f, 0.5f, 0.0f};
+  const Vec3 rim[] = {{1.5f, 0.5f, 0.2f}, {0.5f, 1.5f, -0.1f},
+                      {-0.5f, 0.5f, 0.3f}, {0.5f, -0.5f, 0.1f}};
+  bool hit = false;
+  for (int f = 0; f < 4; ++f) {
+    hit = hit || ray_intersects_triangle(
+                     Ray{{hub.x, hub.y, -1.0f}, {0, 0, 1}, 0.0f, 10.0f},
+                     Triangle{hub, rim[f], rim[(f + 1) % 4]});
+  }
+  EXPECT_TRUE(hit);
 }
 
 TEST(RayProperty, SphereHitConsistentWithContainmentForPointQueries) {

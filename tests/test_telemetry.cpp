@@ -165,6 +165,8 @@ TEST(Telemetry, NameTablesMatchEnumOrder) {
                                                counters.end()));
   EXPECT_EQ(std::string("session.runs"),
             telemetry::name(telemetry::Counter::kSessionRuns));
+  EXPECT_EQ(std::string("session.repair_full_relabels"),
+            telemetry::name(telemetry::Counter::kSessionRepairFullRelabels));
   EXPECT_EQ(std::string("session.live_points"),
             telemetry::name(telemetry::Gauge::kSessionLivePoints));
   EXPECT_EQ(std::string("mutation.latency"),
@@ -294,6 +296,35 @@ TEST_F(TelemetryArmed, EveryFullRecountIsOnePhase1Launch) {
   EXPECT_EQ(telemetry::snapshot().counter(
                 telemetry::Counter::kEnginePhase1Launches),
             2u);
+}
+
+TEST_F(TelemetryArmed, OnlyMergingMutationsPayTheFullRelabel) {
+  // Two 10x10 grids 2.1 apart.  Mutations that leave both clusters apart
+  // relabel in place; bridging the gap merges them, and only that step
+  // renumbers every slot.
+  std::vector<geom::Vec3> pts;
+  for (const float x0 : {0.0f, 3.0f}) {
+    for (int k = 0; k < 100; ++k) {
+      pts.push_back({x0 + 0.1f * static_cast<float>(k % 10),
+                     0.1f * static_cast<float>(k / 10), 0.0f});
+    }
+  }
+  Clusterer session(pts, Options());
+  (void)session.run(0.8f, 3);
+  ASSERT_EQ(session.result().cluster_count, 2u);
+  const auto full = [] {
+    return telemetry::snapshot().counter(
+        telemetry::Counter::kSessionRepairFullRelabels);
+  };
+  (void)session.insert(std::vector<geom::Vec3>{{0.45f, 0.45f, 0.0f}});
+  (void)session.advance(std::vector<geom::Vec3>{{3.45f, 0.45f, 0.0f}}, 1);
+  session.remove(std::vector<std::uint32_t>{150});
+  EXPECT_EQ(full(), 0u);
+  (void)session.insert(
+      std::vector<geom::Vec3>{{1.6f, 0.45f, 0.0f}, {2.3f, 0.45f, 0.0f}});
+  EXPECT_EQ(session.result().cluster_count, 1u);
+  EXPECT_EQ(full(), 1u);
+  EXPECT_TRUE(session.validate(ValidationLevel::kDeep).ok);
 }
 
 TEST_F(TelemetryArmed, DisarmedUpdatesAreDropped) {

@@ -1043,17 +1043,17 @@ struct Clusterer::Impl {
     return is_live_slot(i) && counts[i] + 1 >= result.min_pts;
   }
 
-  /// The stable-id relabel of maintain_labels().  Every old cluster keeps
-  /// its id (a split's residual component included); components of W that
-  /// reach no old cluster — births, and the splinters of a split — take the
-  /// next free ids; a cluster that emptied hands its id to the
-  /// highest-numbered one (fill_emptied_clusters).  Only W, the claimed
+  /// The stable-id relabel of maintain_labels().  Each anchor's component
+  /// keeps its old cluster's id (a split's residual component included);
+  /// components of W that reach no anchor — births, the splinters of a
+  /// split, and the survivors of a cluster whose large cut put all its
+  /// members in W — take the next free ids; a cluster that emptied hands
+  /// its id to the highest-numbered one (fill_emptied_clusters).  Only W, the claimed
   /// out-of-W slots and the removed slots are rewritten, labels and
   /// membership table both, by delta: every other slot keeps its label in
   /// the full relabel too (through its own cluster's anchor).  Returns
   /// false, having changed nothing, when two old clusters merged (one id
-  /// would have to go) or when the delta exceeds n/8 slots (a renumbering
-  /// pass is cheaper); the caller then renumbers everything.
+  /// would have to go); the caller then renumbers everything.
   bool relabel_in_place(std::size_t first_new, std::uint32_t c_old) {
     ClusterResult& r = result;
     const std::size_t w_count = wlist.size();
@@ -1090,7 +1090,6 @@ struct Clusterer::Impl {
       move(j, label_of(claim_owner[j]));  // old noise, or a split's border
     }
     for (const std::uint32_t id : rem_sorted) move(id, kNoise);
-    if (member_moves.size() > r.labels.size() / 8) return false;
     patch_membership(r.members, r.member_starts, c_old, c_new, member_moves,
                      patch);
     for (const MemberMove& m : member_moves) {
@@ -1124,12 +1123,13 @@ struct Clusterer::Impl {
   /// count maintenance captured for both — holds every slot whose count
   /// changed, hence every slot whose core flag can change: the cut list,
   /// the promoted list and the final is_core / neighbor_counts refresh all
-  /// come from T.  The relabel keeps every old cluster id and rewrites only
-  /// W, the claimed slots and the removed slots, patching the membership
-  /// table by delta (relabel_in_place).  Only a merge of two old clusters,
-  /// or a delta above n/8 slots, falls back to a first-seen renumbering of
-  /// every slot plus build_membership().  The fast step costs
-  /// O(|T| + |W| + C_old) plus block moves in the membership table.
+  /// come from T.  The relabel keeps old cluster ids through their anchors
+  /// (relabel_in_place lists the exceptions) and rewrites only W, the
+  /// claimed slots and the removed slots, patching the membership table by
+  /// delta.  Only a merge of two old clusters
+  /// falls back to a first-seen renumbering of every slot plus
+  /// build_membership().  The fast step costs O(|T| + |W| + C_old) plus
+  /// block moves in the membership table.
   void maintain_labels(std::size_t first_new, float eps) {
     RTD_TRACE_SPAN("session.repair");
     const Timer phase_timer;
@@ -1139,8 +1139,13 @@ struct Clusterer::Impl {
 
     // T = rem_sorted + rem_nbrs + [first_new, n) + ins_nbrs.  r.is_core
     // keeps the PRE-mutation flags until the final refresh (the
-    // affected-set logic needs both).  A neighbor CSR is stale when its
-    // half of the batch was empty.
+    // affected-set logic needs both).  The result buffers grow to n first:
+    // an inserted slot reads as an old non-core noise point, so split
+    // detection, which meets fresh cores next to a cut, skips it.  A
+    // neighbor CSR is stale when its half of the batch was empty.
+    r.labels.resize(n, kNoise);
+    r.is_core.resize(n, 0);
+    r.neighbor_counts.resize(n, 0);
     const std::span<const std::uint32_t> rem_nbrs =
         rem_sorted.empty() ? std::span<const std::uint32_t>{}
                            : std::span<const std::uint32_t>(rem_nbr_ids);
@@ -1599,11 +1604,10 @@ struct Clusterer::Impl {
           work);
     }
 
-    // Relabel: in place with stable ids, unless two clusters merged or the
-    // change is large — then a first-seen dense renumbering over the
-    // mini-DSU roots runs over every slot.
+    // Relabel: in place with stable ids, unless two clusters merged — then
+    // a first-seen dense renumbering over the mini-DSU roots runs over
+    // every slot.
     RTD_FAILPOINT("repair.relabel");
-    r.labels.resize(n, kNoise);
     root_scratch.resize(nodes);
     const bool full = !relabel_in_place(first_new, c_old);
     if (full) {
@@ -1644,8 +1648,6 @@ struct Clusterer::Impl {
       r.cluster_count = static_cast<std::uint32_t>(next);
     }
     // Core flags and counts changed on T only.
-    r.is_core.resize(n);
-    r.neighbor_counts.resize(n);
     const auto refresh = [&](std::uint32_t i) {
       r.is_core[i] = core_now(i) ? 1 : 0;
       r.neighbor_counts[i] = counts[i];

@@ -52,13 +52,14 @@
 //     to border ambiguity) to a from-scratch run at the same parameters —
 //     tests/test_incremental.cpp enforces parity after every mutation.
 //   * Cluster ids: only the partition is contractual, but ids are kept
-//     stable where the cluster set allows.  Every old cluster keeps its id
-//     (a split's residual component too), new clusters take the next free
-//     ids, and an emptied cluster's id passes to the highest-numbered one
-//     to keep ids dense.  A mutation that merges two old clusters, or
-//     changes more than n/8 labels, renumbers every cluster (first seen
-//     in slot order) and is counted by the session.repair_full_relabels
-//     telemetry counter.
+//     stable where the cluster set allows.  An old cluster keeps its id
+//     (a split's residual component too) and new clusters take the next
+//     free ids, except that: an emptied cluster's id passes to the
+//     highest-numbered cluster, to keep ids dense; a cut of at least an
+//     eighth of a cluster's members as lost cores re-mints that whole
+//     cluster under new ids; and a mutation that merges two old clusters
+//     renumbers every cluster (first seen in slot order) and is counted
+//     by the session.repair_full_relabels telemetry counter.
 //   * Ids are SLOT ids and stay stable across mutations: removed points
 //     keep their slot, labeled kNoise with is_core 0 and neighbor count 0
 //     (they also remain in the result's noise bucket — filter with

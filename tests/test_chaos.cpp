@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -316,9 +317,25 @@ TEST(ChaosConcurrent, ReadersSurviveWriterFaults) {
     });
   }
 
-  // The writer's 60 steps can finish within a few milliseconds, before a
-  // reader thread is even scheduled: let the readers get going first.
-  while (reads.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  // A writer step can take only microseconds, so the whole loop could end
+  // before a reader thread is even scheduled.  Each step that completed
+  // therefore waits, up to a deadline, until the readers complete another
+  // read: reads then interleave with the faulted writes.  (A step that
+  // threw may have dropped the index, and readers cannot snapshot until
+  // the next writer call rebuilds it.)  A reader that can never complete a
+  // read (every snapshot or query throwing) fails the test at the deadline
+  // instead of hanging it.
+  const auto reads_grow_past = [&](std::uint64_t seen) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (reads.load(std::memory_order_relaxed) <= seen) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  const std::uint64_t reads_at_start = reads.load(std::memory_order_relaxed);
+  std::uint64_t completed_steps = 0;
 
   Rng rng(0xFA11);
   float eps = 0.3f;
@@ -326,12 +343,14 @@ TEST(ChaosConcurrent, ReadersSurviveWriterFaults) {
       "session.publish", "engine.phase1_insert", "engine.phase1_remove",
       "repair.relabel", "index.insert"};
   for (int step = 0; step < 60; ++step) {
+    const std::uint64_t seen = reads.load(std::memory_order_relaxed);
     fail::Config cfg;
     cfg.action = step % 2 == 0 ? fail::Action::kThrowError
                                : fail::Action::kThrowBadAlloc;
     fail::arm(writer_sites[static_cast<std::size_t>(step) %
                            writer_sites.size()],
               cfg);
+    bool completed = false;
     try {
       if (step % 3 == 0) {
         (void)session.insert(cluster_batch(rng, 4));
@@ -340,6 +359,7 @@ TEST(ChaosConcurrent, ReadersSurviveWriterFaults) {
       } else {
         (void)session.run(eps, 5);
       }
+      completed = true;
     } catch (...) {
       fail::disarm_all();
       if (session.health() == SessionHealth::kDegraded) {
@@ -349,10 +369,20 @@ TEST(ChaosConcurrent, ReadersSurviveWriterFaults) {
     fail::disarm_all();
     const ValidationReport rep = session.validate(ValidationLevel::kQuick);
     EXPECT_TRUE(rep.ok) << (rep.issues.empty() ? "" : rep.issues.front());
+    if (!completed) continue;
+    ++completed_steps;
+    if (!reads_grow_past(seen)) {
+      ADD_FAILURE() << "no reader completed a read around writer step "
+                    << step;
+      break;
+    }
   }
+  const std::uint64_t reads_during_writer =
+      reads.load(std::memory_order_relaxed) - reads_at_start;
   stop.store(true);
   for (auto& r : readers) r.join();
-  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GT(completed_steps, 0u);
+  EXPECT_GE(reads_during_writer, completed_steps);
   expect_valid(session, ValidationLevel::kDeep, "concurrent epilogue");
 }
 

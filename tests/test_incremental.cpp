@@ -510,15 +510,16 @@ TEST(IncrementalSoak, SeededMutationStormMatchesOracleOnEveryBackend) {
   }
 }
 
-TEST(IncrementalSoak, B1StreamValidatesOnEveryAbsorbingBackend) {
-  // The streaming shape of the paper's repeated-clustering workflow: a
-  // sliding taxi_gps window advanced one point at a time.  The structural
-  // audit runs after every step, the oracle-parity audit every 50th (its
-  // exact recount is O(live²), hence the small window).  The window turns
-  // over births, deaths, merges and splits of small clusters.
+/// The streaming shape of the paper's repeated-clustering workflow: a
+/// sliding taxi_gps window advanced `batch` points at a time, on every
+/// absorbing backend at 1 and 4 threads.  The structural audit runs after
+/// every step, the oracle-parity audit every `deep_every`-th (its exact
+/// recount is O(live²), hence the small window).  The window turns over
+/// births, deaths, merges and splits of small clusters.
+void expect_stream_validates(std::size_t batch, std::size_t steps,
+                             std::size_t deep_every) {
   constexpr std::size_t kWindow = 3000;
-  constexpr std::size_t kSteps = 400;
-  const auto stream = data::taxi_gps(kWindow + kSteps, 2024);
+  const auto stream = data::taxi_gps(kWindow + batch * steps, 2024);
   const std::span<const Vec3> all(stream.points);
   for (const IndexKind kind :
        {IndexKind::kBruteForce, IndexKind::kPointBvh, IndexKind::kBvhRt}) {
@@ -528,16 +529,31 @@ TEST(IncrementalSoak, B1StreamValidatesOnEveryAbsorbingBackend) {
       Clusterer session(all.subspan(0, kWindow),
                         Options().with_backend(kind).with_threads(threads));
       (void)session.run(0.08f, 4);
-      for (std::size_t step = 0; step < kSteps; ++step) {
-        (void)session.advance(all.subspan(kWindow + step, 1), 1);
+      for (std::size_t step = 0; step < steps; ++step) {
+        (void)session.advance(all.subspan(kWindow + step * batch, batch),
+                              batch);
         const std::string at = what + " step " + std::to_string(step);
         expect_valid(session, ValidationLevel::kQuick, at);
-        if (step % 50 == 49) expect_valid(session, ValidationLevel::kDeep, at);
+        if (step % deep_every == deep_every - 1) {
+          expect_valid(session, ValidationLevel::kDeep, at);
+        }
         if (::testing::Test::HasFailure()) return;
       }
       EXPECT_EQ(session.live_count(), kWindow) << what;
     }
   }
+}
+
+TEST(IncrementalSoak, B1StreamValidatesOnEveryAbsorbingBackend) {
+  expect_stream_validates(1, 400, 50);
+}
+
+TEST(IncrementalSoak, MixedBatchStreamValidatesOnEveryAbsorbingBackend) {
+  // Each advance both expires and inserts 32 points, so split detection
+  // meets freshly inserted cores next to the cut (they must read as
+  // non-core noise there, not past the end of the old result buffers).
+  // A build with -D_GLIBCXX_ASSERTIONS turns such a read into an abort.
+  expect_stream_validates(32, 100, 25);
 }
 
 // ---------------------------------------------------------------------------

@@ -271,19 +271,20 @@ struct Clusterer::Impl {
   float counts_eps = 0.0f;
   std::uint32_t counts_cap = index::kNoCap;  ///< kNoCap = exact
 
-  // ε-cell grouping for the cell-aware phase 2: like the counts, a pure
-  // function of (points, ε, live set), so a min_pts rerun reuses it;
-  // insert/remove/advance and each sweep() entry drop it.  Only the CSR
-  // stays resident; the sort scratch is borrowed (see finish_run).  A
-  // run() that recounts at a new ε leaves phase 1's sorted cells here
-  // (cells_valid false) for finish_run to certify.
+  // Every occupied ε-cell of the live set with its tight bounds, the CSR
+  // the cell-graph phase 2 walks: like the counts, a pure function of
+  // (points, ε, live set), so a min_pts rerun reuses it; insert/remove/
+  // advance and each sweep() entry drop it.  A run() that recounts leaves
+  // phase 1's sorted cells here; otherwise finish_run sorts them, on
+  // borrowed scratch.  Empty at a valid ε when the grid exceeds the
+  // cell-key range: phase 2 then runs per point.
   dbscan::EpsCells cells;
   bool cells_valid = false;
 
   // Reusable engine workspace: warm run() calls allocate nothing.
   std::optional<dsu::AtomicDisjointSet> dsu;
+  /// Border claims of the per-point fallback only (sized on first use).
   std::vector<std::atomic<std::uint8_t>> claimed;
-  std::vector<std::int32_t> root_scratch;
   std::vector<std::uint32_t> csr_cursor;
 
   // Incremental-maintenance scratch (capacities reused: warm mutations
@@ -304,6 +305,7 @@ struct Clusterer::Impl {
   std::vector<MemberMove> member_moves;    ///< fast-path relabel delta
   MembershipPatch patch;                   ///< .. and its block-move scratch
   std::optional<dsu::AtomicDisjointSet> mini_dsu;  ///< |W| + C_old nodes
+  std::vector<std::int32_t> root_scratch;          ///< .. root -> label
   std::vector<std::uint32_t> rem_nbr_ids;     ///< removal-batch neighbor CSR
   std::vector<std::uint32_t> rem_nbr_starts;  ///< .. per-removed-id offsets
   std::vector<std::uint32_t> ins_nbr_ids;     ///< insert-batch neighbor CSR
@@ -527,16 +529,13 @@ struct Clusterer::Impl {
   /// Shared epilogue of run() and each sweep() entry, from the ε-neighbor
   /// counts in `cts` (the session cache for run(), a sweep_counts column
   /// for sweep() — passed as a span so no intermediate copy is needed):
-  /// core flags, the ε-cell grouping (cached), the cell-aware phase 2 over
-  /// the reusable workspace, label finalization, membership table, totals.
-  /// `query_eps` is passed to the per-query phase-2 calls — it may sit
-  /// below the index's build ε inside sweep() (grid/dense-box radius
-  /// contract); the cells are always grouped at `query_eps` itself.
-  /// `presorted`: phase 1 just left every occupied cell at `query_eps` in
-  /// `cells`, so grouping only certifies them instead of sorting again.
+  /// core flags, the ε-cells (cached), the cell-graph phase 2 over the
+  /// reusable workspace, label finalization, membership table, totals.
+  /// The cells are always sorted at `query_eps` itself, which inside
+  /// sweep() may sit below the index's build ε; only the per-point
+  /// fallback queries the index.
   void finish_run(float query_eps, std::uint32_t min_pts,
-                  std::span<const std::uint32_t> cts, const Timer& total,
-                  bool presorted = false) {
+                  std::span<const std::uint32_t> cts, const Timer& total) {
     ClusterResult& r = result;
     const std::size_t n = pts.size();
 
@@ -555,35 +554,41 @@ struct Clusterer::Impl {
     } else {
       dsu->reset(n);  // mutations may have grown the slot space
     }
-    if (claimed.size() != n) {
-      claimed = std::vector<std::atomic<std::uint8_t>>(n);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      claimed[i].store(0, std::memory_order_relaxed);
-    }
+    // Two result buffers are idle until phase 2 is done (both are
+    // rewritten below): they lend the cell sort and the walk their
+    // scratch, so neither adds transient memory.  Grown to their final
+    // size first, so the rewrites below reuse that capacity.
+    r.neighbor_counts.resize(n);
+    r.members.resize(n);
     const Timer phase2_timer;
     if (!cells_valid || cells.eps != query_eps) {
-      cells_valid = false;  // a throw mid-grouping would leave it torn
-      if (presorted) {
-        dbscan::certify_eps_cells(pts, cells);
-      } else {
-        // The sort borrows two result buffers that are idle until phase 2
-        // is done (both are rewritten below), so grouping adds no
-        // transient memory.
-        dbscan::group_eps_cells(pts, query_eps, order, opts.threads, cells,
-                                r.neighbor_counts, r.members);
-      }
+      cells_valid = false;  // a throw mid-sort would leave it torn
+      dbscan::sort_eps_cells(pts, query_eps, order, opts.threads, cells,
+                             r.neighbor_counts, r.members);
       cells_valid = true;
     }
-    r.stats.phase2 = dbscan::cell_phase2(*index, query_eps, order, cells,
-                                         r.is_core, *dsu, claimed,
-                                         opts.threads);
-    // Grouping included: a cache miss is part of this run's phase 2.
+    if (cells.count() > 0 || order.empty()) {
+      r.stats.phase2 = dbscan::cell_graph_phase2(
+          pts, cells, r.is_core, *dsu, opts.threads, r.neighbor_counts,
+          r.members);
+    } else {
+      // Beyond the cell-key range: the per-point phase 2.
+      if (claimed.size() != n) {
+        claimed = std::vector<std::atomic<std::uint8_t>>(n);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        claimed[i].store(0, std::memory_order_relaxed);
+      }
+      r.stats.phase2 = dbscan::index_phase2(*index, query_eps, order,
+                                            r.is_core, *dsu, claimed,
+                                            opts.threads);
+    }
+    // Sorting included: a cache miss is part of this run's phase 2.
     r.stats.timings.cluster_phase_seconds = phase2_timer.seconds();
 
     r.cluster_count = dbscan::finalize_labels_into(
         n, [&](std::uint32_t x) { return dsu->find(x); }, r.is_core,
-        r.labels, root_scratch);
+        r.labels);
     r.neighbor_counts.assign(cts.begin(), cts.end());
     build_membership();
 
@@ -697,7 +702,6 @@ struct Clusterer::Impl {
     const bool reuse = counts_valid && counts_eps == eps &&
                        (counts_cap == index::kNoCap ||
                         min_pts - 1 <= counts_cap);
-    bool presorted = false;
     if (reuse) {
       r.stats.counts_reused = true;
     } else {
@@ -708,14 +712,15 @@ struct Clusterer::Impl {
           r.stats.phase1 = dbscan::index_phase1(*index, params, order, true,
                                                 opts.threads, counts);
         } else {
-          // Exact counts by cell.  On a grouping-cache miss the sorted
-          // cells go on to phase 2, which then needs no second sort.
-          presorted = !cells_valid || cells.eps != eps;
-          if (presorted) cells_valid = false;
+          // Exact counts by cell.  On a cell-cache miss the sorted cells
+          // go on to phase 2, which then needs no second sort.
+          const bool sort = !cells_valid || cells.eps != eps;
+          if (sort) cells_valid = false;
           const float column[] = {eps};
           r.stats.phase1 =
               dbscan::cell_phase1(*index, column, order, opts.threads,
-                                  counts, presorted ? &cells : nullptr);
+                                  counts, sort ? &cells : nullptr);
+          cells_valid = true;
         }
       } catch (...) {
         restore_metadata();  // strong; the count cache is dropped, not torn
@@ -736,7 +741,7 @@ struct Clusterer::Impl {
     last_min_pts = min_pts;
     params_valid = true;
     try {
-      finish_run(eps, min_pts, counts, total, presorted);
+      finish_run(eps, min_pts, counts, total);
     } catch (...) {
       // The result buffers are partially overwritten.  Committed state
       // (points, mask, counts) is coherent; only the labels are torn —
@@ -890,9 +895,12 @@ struct Clusterer::Impl {
     // Undo stages 2+3.  Noexcept; call with publish_mu HELD.  When the
     // index may be mid-mutation (a backend threw partway through absorb)
     // or reading a relocated span (in-place append moved the buffer), it
-    // is dropped — derived state the next ensure_index rebuilds.  Readers
-    // stay safe: published is nulled and any snapshot taken meanwhile owns
-    // its own references to whatever structure it captured.
+    // is dropped and rebuilt over the rolled-back live set, so snapshots
+    // and const queries keep serving; if that rebuild throws too, the
+    // session stays without an index until the next writer call's
+    // ensure_index.  Readers stay safe: published is nulled and any
+    // snapshot taken meanwhile owns its own references to whatever
+    // structure it captured.
     const auto rollback_batch_locked = [&]() noexcept {
       // Defined outside the lock scope but only ever called with publish_mu
       // held (both call sites below) — re-assert for the analysis, which
@@ -913,6 +921,14 @@ struct Clusterer::Impl {
       }
       pending_mutations = pending_backup;
       rollback_removal();
+      if (index_hazard) {
+        try {
+          build_index_now(eps);
+        } catch (...) {
+          // Best effort: build_index_now left no index behind, and the
+          // next writer call's ensure_index builds one.
+        }
+      }
     };
     {
       const MutexLock lock(publish_mu);
@@ -1857,6 +1873,10 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   // slots are not in the order: their counts stay 0 and they are never
   // core.
   RTD_FAILPOINT("sweep.scratch");
+  // Every entry sorts its own cells: release the cached ones first, so
+  // they add nothing to the shared pass's peak.
+  im.cells = dbscan::EpsCells{};
+  im.cells_valid = false;
   const rt::LaunchStats shared_phase1 = dbscan::cell_phase1(
       *im.index, im.sweep_eps, im.order, im.opts.threads, im.sweep_counts);
 
@@ -1912,8 +1932,8 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
       }
       im.finish_run(eps, min_pts, im.counts,
                     v == 0 ? first_entry_timer : entry_timer);
-      // Each entry groups at its own ε, so no grouping outlives its entry:
-      // released before the entry's result is copied out, it never adds
+      // Each entry sorts its own cells, so none outlive their entry:
+      // released before the entry's result is copied out, they never add
       // to the sweep's peak (the copies grow with every entry).
       im.cells = dbscan::EpsCells{};
       im.cells_valid = false;
@@ -2122,6 +2142,10 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
          " slots, session has " + std::to_string(n));
   }
   if (im.cells_valid) {
+    if (im.cells.box.size() != im.cells.count()) {
+      fail("cached eps-cells carry " + std::to_string(im.cells.box.size()) +
+           " bounds for " + std::to_string(im.cells.count()) + " cells");
+    }
     for (const std::uint32_t m : im.cells.ids) {
       if (m >= n || !im.is_live_slot(m)) {
         fail("cached eps-cell grouping holds slot " + std::to_string(m) +

@@ -122,37 +122,32 @@ struct Clustering {
 /// Convert "same DSU set" parents into dense cluster labels, keeping only
 /// sets that contain at least one core point (pure-noise singletons get
 /// kNoiseLabel).  Shared by every union-find based implementation.
-/// Core form: writes `labels`, returns the cluster count.  `root_label` is
-/// caller-owned scratch (resized to n here) — the session API passes
-/// persistent buffers so warm reruns stay allocation-free.
+/// Core form: writes `labels` (capacity reused, so warm session reruns stay
+/// allocation-free), returns the cluster count.
 template <typename FindFn>
 std::uint32_t finalize_labels_into(std::size_t n, FindFn&& find,
                                    std::span<const std::uint8_t> is_core,
-                                   std::vector<std::int32_t>& labels,
-                                   std::vector<std::int32_t>& root_label) {
+                                   std::vector<std::int32_t>& labels) {
   labels.assign(n, kNoiseLabel);
-  root_label.assign(n, kNoiseLabel);
   std::int32_t next = 0;
-  // First pass: label every root that owns a core point.
+  // First pass: label every root that owns a core point, in its own slot.
   for (std::uint32_t i = 0; i < n; ++i) {
     if (!is_core[i]) continue;
     const std::uint32_t root = find(i);
-    if (root_label[root] == kNoiseLabel) root_label[root] = next++;
+    if (labels[root] == kNoiseLabel) labels[root] = next++;
   }
-  // Second pass: propagate to members (border points share the root).
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t root = find(i);
-    labels[i] = root_label[root];
-  }
+  // Second pass: propagate to members (border points share the root).  A
+  // root's own slot is only ever copied onto itself, so every member
+  // still reads its root's label.
+  for (std::uint32_t i = 0; i < n; ++i) labels[i] = labels[find(i)];
   return static_cast<std::uint32_t>(next);
 }
 
 template <typename FindFn>
 void finalize_labels(std::size_t n, FindFn&& find,
                      std::span<const std::uint8_t> is_core, Clustering& out) {
-  std::vector<std::int32_t> root_label;
   out.cluster_count = finalize_labels_into(n, std::forward<FindFn>(find),
-                                           is_core, out.labels, root_label);
+                                           is_core, out.labels);
 }
 
 }  // namespace rtd::dbscan

@@ -35,9 +35,12 @@ struct CellLayout {
   int bx = 0, by = 0, bz = 0;
 
   CellLayout(std::span<const geom::Vec3> points, float eps,
-             std::span<const std::uint32_t> order) {
-    geom::Aabb bounds;
-    for (const std::uint32_t i : order) bounds.grow(points[i]);
+             std::span<const std::uint32_t> order)
+      : CellLayout(bounds_of(points, order), eps) {}
+
+  /// The layout over slots whose tight bounds are `bounds` — the union of
+  /// their cells' tight boxes gives the same layout back.
+  CellLayout(const geom::Aabb& bounds, float eps) {
     grid = index::EpsCellGrid(bounds, eps);
     fits = grid.fits_key_range(bounds);
     if (!fits || bounds.is_empty()) return;
@@ -51,6 +54,13 @@ struct CellLayout {
     bx = bits(max_x);
     by = bits(max_y);
     bz = bits(max_z);
+  }
+
+  static geom::Aabb bounds_of(std::span<const geom::Vec3> points,
+                              std::span<const std::uint32_t> order) {
+    geom::Aabb bounds;
+    for (const std::uint32_t i : order) bounds.grow(points[i]);
+    return bounds;
   }
 
   [[nodiscard]] int key_bits() const { return bx + by + bz; }
@@ -67,15 +77,21 @@ struct CellLayout {
   }
 };
 
-/// A run of sorted ids is a certified cell: two or more members whose
-/// TIGHT bounds have a diagonal within ε (a float-rounding guard at cell
-/// faces — the members are then pairwise ε-neighbors).
+/// A cell whose TIGHT bounds have a diagonal within ε is a certified
+/// clique: its members are pairwise ε-neighbors under distance_squared (a
+/// float-rounding guard at cell faces — a cell's diagonal is ε exactly).
+bool is_clique(const geom::Aabb& tight, float eps2) {
+  return geom::distance_squared(tight.lo, tight.hi) <= eps2;
+}
+
+/// A run of sorted ids that group_eps_cells keeps: two or more members
+/// forming a certified clique.
 bool is_clique(std::span<const geom::Vec3> points, float eps2,
                std::span<const std::uint32_t> members) {
   if (members.size() < 2) return false;
   geom::Aabb tight;
   for (const std::uint32_t m : members) tight.grow(points[m]);
-  return geom::distance_squared(tight.lo, tight.hi) <= eps2;
+  return is_clique(tight, eps2);
 }
 
 /// Sort the slots of `order` into `ids` by cell key — a stable LSD radix
@@ -187,22 +203,29 @@ rt::LaunchStats point_counts(const index::NeighborIndex& index,
       });
 }
 
-/// First index at or after `from` whose key is >= `key` (keys sorted): a
-/// galloping search, since a stencil row's cursor only moves forward.
-std::size_t seek(std::span<const std::uint64_t> keys, std::size_t from,
+/// First cell at or after `from` whose key (`key_at(b)`, ascending over
+/// [0, size)) is >= `key`: a galloping search, since a stencil row's cursor
+/// only moves forward.
+template <typename KeyAt>
+std::size_t seek(const KeyAt& key_at, std::size_t size, std::size_t from,
                  std::uint64_t key) {
-  if (from >= keys.size() || keys[from] >= key) return from;
-  std::size_t lo = from;  // keys[lo] < key
+  if (from >= size || key_at(from) >= key) return from;
+  std::size_t lo = from;  // key_at(lo) < key
   std::size_t step = 1;
-  while (lo + step < keys.size() && keys[lo + step] < key) {
+  while (lo + step < size && key_at(lo + step) < key) {
     lo += step;
     step *= 2;
   }
-  const std::size_t hi = std::min(keys.size(), lo + step);
-  return static_cast<std::size_t>(
-      std::lower_bound(keys.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
-                       keys.begin() + static_cast<std::ptrdiff_t>(hi), key) -
-      keys.begin());
+  std::size_t hi = std::min(size, lo + step);  // size, or key_at(hi) >= key
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (key_at(mid) < key) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return hi;
 }
 
 /// Members' coordinates in cell CSR order, one array per axis: the
@@ -217,14 +240,19 @@ struct SortedCoords {
   }
 };
 
-/// Sorted positions per cell_phase1 task: a giant cell spreads over many
-/// tasks, and a task's counters stay on a few cache lines.
+/// Sorted positions per task of the cell walks (cell_phase1's count,
+/// cell_graph_phase2's merge): a giant cell spreads over many tasks, and a
+/// task's counters stay on a few cache lines.
 constexpr std::size_t kCountBlock = 128;
 /// Candidate cells at least this large get a member-to-box test before the
 /// member × candidates loop.
 constexpr std::uint32_t kRefineMembers = 16;
 /// Candidates whose d² the multi-column loop holds at once.
 constexpr std::uint32_t kDistanceChunk = 64;
+/// Stencil reach in cells: ceil(ε / edge) for edge ε/√2 or ε/√3.
+constexpr std::int64_t kReach = 2;
+/// Stencil rows (dz, dy) per cell; each is a contiguous run of cells.
+constexpr std::size_t kRows = (2 * kReach + 1) * (2 * kReach + 1);
 
 /// The counting pass of cell_phase1 over a cell CSR: `sorted` holds the
 /// members' coordinates, `box` and `key` one entry per cell.
@@ -240,8 +268,6 @@ rt::LaunchStats count_cells(const CellLayout& layout,
                             std::span<const geom::Aabb> box,
                             std::span<const std::uint64_t> key, int threads,
                             std::vector<std::uint32_t>& counts) {
-  constexpr std::int64_t kReach = 2;  // ceil(ε / edge) for edge ε/√2, ε/√3
-  constexpr std::size_t kRows = (2 * kReach + 1) * (2 * kReach + 1);
   const std::size_t k = eps2.size();
   const std::size_t width = k + 1;
   const float e2_max = eps2[k - 1];
@@ -288,7 +314,8 @@ rt::LaunchStats count_cells(const CellLayout& layout,
               cursor[static_cast<std::size_t>((dz + kReach) *
                                                   (2 * kReach + 1) +
                                               dy + kReach)];
-          cur = seek(key, cur, layout.key(x0, y, z));
+          cur = seek([&](std::size_t b) { return key[b]; }, n_cells, cur,
+                     layout.key(x0, y, z));
           const std::uint64_t last = layout.key(x1, y, z);
           for (std::size_t b = cur; b < n_cells && key[b] <= last; ++b) {
             ++stats.aabb_tests;
@@ -398,6 +425,198 @@ rt::LaunchStats count_cells(const CellLayout& layout,
           run += many[(a - p0) * width + u];
           counts[ids[a] * k + u] = run;
         }
+      }
+    }
+  });
+}
+
+/// cell_graph_phase2's per-cell first-core position for a cell with no
+/// core member.
+constexpr std::uint32_t kNoCore = ~std::uint32_t{0};
+
+/// The merge walk of cell_graph_phase2 over a cell CSR whose keys
+/// `key_at(c)` returns (ascending).  `first_core[c]` is the sorted position
+/// of cell c's first core member, kNoCore when it has none.  Tasks are
+/// blocks of sorted positions, as in count_cells: the task holding a
+/// cell's first position merges its cores, and every task attaches the
+/// non-core members at its own positions.
+template <typename KeyAt>
+rt::LaunchStats walk_cells(const CellLayout& layout, float eps2,
+                           std::span<const geom::Vec3> points,
+                           const EpsCells& cells,
+                           std::span<const std::uint32_t> first_core,
+                           std::span<const std::uint8_t> is_core,
+                           dsu::AtomicDisjointSet& dsu, const KeyAt& key_at,
+                           int threads) {
+  const std::span<const std::uint32_t> ids = cells.ids;
+  const std::span<const std::uint32_t> starts = cells.starts;
+  const std::span<const geom::Aabb> box = cells.box;
+  const std::size_t n_cells = cells.count();
+  const std::size_t m = ids.size();
+  const std::uint64_t mask_x = (std::uint64_t{1} << layout.bx) - 1;
+  const std::uint64_t mask_y = (std::uint64_t{1} << layout.by) - 1;
+  const std::size_t n_tasks = (m + kCountBlock - 1) / kCountBlock;
+
+  return rt::parallel_launch(n_tasks, threads, [&](rt::TraversalStats& stats,
+                                                   std::size_t task) {
+    const std::size_t p0 = task * kCountBlock;
+    const std::size_t p1 = std::min(m, p0 + kCountBlock);
+    std::array<std::size_t, kRows> cursor{};
+    // The current cell's stencil: cells [lo[r], hi[r]) of each non-empty
+    // row, in stencil order.
+    std::array<std::size_t, kRows> lo{};
+    std::array<std::size_t, kRows> hi{};
+    std::size_t rows = 0;
+    const auto load_stencil = [&](std::size_t c) {
+      const std::uint64_t kc = key_at(c);
+      const auto cx = static_cast<std::int64_t>(kc & mask_x);
+      const auto cy = static_cast<std::int64_t>((kc >> layout.bx) & mask_y);
+      const auto cz = static_cast<std::int64_t>(kc >> (layout.bx + layout.by));
+      const std::int64_t x0 = std::max<std::int64_t>(cx - kReach, 0);
+      const std::int64_t x1 = std::min(cx + kReach, layout.max_x);
+      rows = 0;
+      for (std::int64_t dz = -kReach; dz <= kReach; ++dz) {
+        const std::int64_t z = cz + dz;
+        if (z < 0 || z > layout.max_z) continue;
+        for (std::int64_t dy = -kReach; dy <= kReach; ++dy) {
+          const std::int64_t y = cy + dy;
+          if (y < 0 || y > layout.max_y) continue;
+          std::size_t& cur =
+              cursor[static_cast<std::size_t>((dz + kReach) *
+                                                  (2 * kReach + 1) +
+                                              dy + kReach)];
+          cur = seek(key_at, n_cells, cur, layout.key(x0, y, z));
+          const std::uint64_t last = layout.key(x1, y, z);
+          std::size_t end = cur;
+          while (end < n_cells && key_at(end) <= last) ++end;
+          if (end == cur) continue;
+          lo[rows] = cur;
+          hi[rows] = end;
+          ++rows;
+        }
+      }
+    };
+    // f(core slot) over cell b's cores in member order, until f is true.
+    const auto any_core = [&](std::size_t b, auto&& f) {
+      for (std::uint32_t q = first_core[b]; q < starts[b + 1]; ++q) {
+        if (is_core[ids[q]] && f(ids[q])) return true;
+      }
+      return false;
+    };
+    const auto close = [&](const geom::Vec3& p, std::uint32_t q) {
+      ++stats.isect_calls;
+      return geom::distance_squared(p, points[q]) <= eps2;
+    };
+
+    // Cell c's cores: one component when c is a clique, else pairwise.
+    const auto merge_own = [&](std::size_t c, bool clique) {
+      const std::uint32_t rep = ids[first_core[c]];
+      (void)any_core(c, [&](std::uint32_t a) {
+        if (clique) {
+          dsu.unite(rep, a);
+          return false;
+        }
+        (void)any_core(c, [&](std::uint32_t q) {
+          if (q != a && close(points[a], q)) dsu.unite(a, q);
+          return false;
+        });
+        return false;
+      });
+    };
+    // Cells c and b, both holding cores: unite every ε-close core pair —
+    // through the first one found when both are cliques (each side's cores
+    // are then one component already).
+    const auto merge_pair = [&](std::size_t c, bool clique_c,
+                                std::size_t b) {
+      ++stats.aabb_tests;
+      if (geom::min_distance_squared(box[c], box[b]) > eps2) return;
+      const bool first_hit = clique_c && is_clique(box[b], eps2);
+      const std::uint32_t rep_b = ids[first_core[b]];
+      if (first_hit) {
+        const std::uint32_t rep_c = ids[first_core[c]];
+        if (geom::max_distance_squared(box[c], box[b]) <= eps2) {
+          dsu.unite(rep_c, rep_b);
+          return;
+        }
+        if (dsu.find(rep_c) == dsu.find(rep_b)) return;
+      }
+      const bool refine = starts[b + 1] - starts[b] >= kRefineMembers;
+      (void)any_core(c, [&](std::uint32_t a) {
+        const geom::Vec3& pa = points[a];
+        if (refine) {
+          ++stats.aabb_tests;
+          if (geom::min_distance_squared(pa, box[b]) > eps2) return false;
+          if (first_hit && geom::max_distance_squared(pa, box[b]) <= eps2) {
+            dsu.unite(a, rep_b);
+            return true;
+          }
+        }
+        return any_core(b, [&](std::uint32_t q) {
+          if (!close(pa, q)) return false;
+          dsu.unite(a, q);
+          return first_hit;
+        });
+      });
+    };
+    // Non-core p of cell c joins the first core within ε: c's own cores
+    // first, then the stencil's cells in order.  Only this task ever
+    // attaches p, so no claim is needed.
+    const auto attach = [&](std::uint32_t p, std::size_t c, bool clique) {
+      const geom::Vec3& pp = points[p];
+      const auto join = [&](std::uint32_t q) {
+        if (!close(pp, q)) return false;
+        dsu.unite(q, p);
+        return true;
+      };
+      if (first_core[c] != kNoCore) {
+        if (clique) {
+          dsu.unite(ids[first_core[c]], p);
+          return;
+        }
+        if (any_core(c, join)) return;
+      }
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t b = lo[r]; b < hi[r]; ++b) {
+          if (b == c || first_core[b] == kNoCore) continue;
+          ++stats.aabb_tests;
+          if (geom::min_distance_squared(pp, box[b]) > eps2) continue;
+          if (geom::max_distance_squared(pp, box[b]) <= eps2) {
+            dsu.unite(ids[first_core[b]], p);
+            return;
+          }
+          if (any_core(b, join)) return;
+        }
+      }
+    };
+
+    std::size_t c = static_cast<std::size_t>(
+        std::upper_bound(starts.begin(), starts.end(),
+                         static_cast<std::uint32_t>(p0)) -
+        starts.begin() - 1);
+    for (; c < n_cells && starts[c] < p1; ++c) {
+      const std::size_t f0 = std::max<std::size_t>(starts[c], p0);
+      const std::size_t f1 = std::min<std::size_t>(starts[c + 1], p1);
+      const bool owner = f0 == starts[c];
+      const bool has_core = first_core[c] != kNoCore;
+      const bool clique = is_clique(box[c], eps2);
+      bool borders = false;
+      for (std::size_t a = f0; a < f1 && !borders; ++a) {
+        borders = is_core[ids[a]] == 0;
+      }
+      if (owner) ++stats.rays;
+      const bool merges = owner && has_core;
+      // Borders of a clique holding a core join that core: no stencil.
+      if (merges || (borders && !(has_core && clique))) load_stencil(c);
+      if (merges) {
+        merge_own(c, clique);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t b = std::max(lo[r], c + 1); b < hi[r]; ++b) {
+            if (first_core[b] != kNoCore) merge_pair(c, clique, b);
+          }
+        }
+      }
+      for (std::size_t a = f0; a < f1 && borders; ++a) {
+        if (!is_core[ids[a]]) attach(ids[a], c, clique);
       }
     }
   });
@@ -542,6 +761,35 @@ void group_eps_cells(std::span<const geom::Vec3> points, float eps,
   }
 }
 
+void sort_eps_cells(std::span<const geom::Vec3> points, float eps,
+                    std::span<const std::uint32_t> order, int threads,
+                    EpsCells& cells, std::vector<std::uint32_t>& keys,
+                    std::vector<std::uint32_t>& swap) {
+  RTD_FAILPOINT("engine.cells");
+  cells.eps = eps;
+  cells.ids.clear();
+  cells.starts.clear();
+  cells.box.clear();
+  if (order.empty()) return;
+  const CellLayout layout(points, eps, order);
+  if (!layout.fits) return;  // per-point phase 2 instead
+
+  const std::size_t n_cells =
+      sort_cells(points, layout, order, threads, cells.ids, keys, swap,
+                 [](std::span<const std::uint32_t>) { return true; });
+  cells.starts.assign(
+      swap.begin(), swap.begin() + static_cast<std::ptrdiff_t>(n_cells) + 1);
+  cells.box.resize(n_cells);
+  rt::parallel_launch(n_cells, threads,
+                      [&](rt::TraversalStats&, std::size_t c) {
+                        geom::Aabb tight;
+                        for (const std::uint32_t m : cells.members(c)) {
+                          tight.grow(points[m]);
+                        }
+                        cells.box[c] = tight;
+                      });
+}
+
 rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
                             std::span<const float> eps_columns,
                             std::span<const std::uint32_t> order, int threads,
@@ -560,6 +808,8 @@ rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
   RTD_TRACE_SPAN("engine.phase1");
   telemetry::count(telemetry::Counter::kEnginePhase1Launches);
   RTD_FAILPOINT("engine.phase1");
+  // Handing the cells over fills the caller's grouping cache.
+  if (sorted != nullptr && k == 1) RTD_FAILPOINT("engine.cells");
 
   const Timer timer;
   EpsCells local;
@@ -567,6 +817,7 @@ rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
   cells.eps = eps_columns[k - 1];
   cells.ids.clear();
   cells.starts.clear();
+  cells.box.clear();
   counts.resize(n * k);
   const CellLayout layout(points, cells.eps, order);
   if (!layout.fits) {
@@ -588,7 +839,8 @@ rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
   // Per cell: its key and tight bounds, and the members' coordinates in
   // CSR order, so candidate loops read contiguous memory.
   std::vector<std::uint64_t> key(n_cells);
-  std::vector<geom::Aabb> box(n_cells);
+  std::vector<geom::Aabb>& box = cells.box;
+  box.resize(n_cells);
   SortedCoords coords(cells.ids.size());
   rt::parallel_launch(n_cells, threads,
                       [&](rt::TraversalStats&, std::size_t c) {
@@ -617,33 +869,6 @@ rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
                                   threads, counts);
   launch.seconds = timer.seconds();
   return launch;
-}
-
-void certify_eps_cells(std::span<const geom::Vec3> points, EpsCells& cells) {
-  RTD_FAILPOINT("engine.cells");
-  const float eps2 = cells.eps * cells.eps;
-  std::vector<std::uint32_t>& ids = cells.ids;
-  std::vector<std::uint32_t>& starts = cells.starts;
-  // Compacted in place like sort_cells' keep pass: the writes trail the
-  // reads, and `begin` carries each cell's start past its overwrite.
-  const std::size_t n_cells = cells.count();
-  std::size_t kept = 0;
-  std::size_t n_kept = 0;
-  std::uint32_t begin = 0;
-  for (std::size_t c = 0; c < n_cells; ++c) {
-    const std::uint32_t end = starts[c + 1];
-    if (is_clique(points, eps2,
-                  std::span<const std::uint32_t>(ids).subspan(
-                      begin, end - begin))) {
-      for (std::uint32_t r = begin; r < end; ++r) ids[kept++] = ids[r];
-      starts[++n_kept] = static_cast<std::uint32_t>(kept);
-    }
-    begin = end;
-  }
-  ids.resize(kept);
-  ids.shrink_to_fit();
-  starts.resize(n_kept > 0 ? n_kept + 1 : 0);
-  starts.shrink_to_fit();
 }
 
 rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
@@ -783,6 +1008,60 @@ rt::LaunchStats cell_phase2(const index::NeighborIndex& index, float eps,
             stats);
       });
   launch.seconds += pre.seconds;
+  return launch;
+}
+
+rt::LaunchStats cell_graph_phase2(std::span<const geom::Vec3> points,
+                                  const EpsCells& cells,
+                                  std::span<const std::uint8_t> is_core,
+                                  dsu::AtomicDisjointSet& dsu, int threads,
+                                  std::vector<std::uint32_t>& keys,
+                                  std::vector<std::uint32_t>& cores) {
+  const std::size_t n_cells = cells.count();
+  if (cells.box.size() != n_cells) {
+    throw std::invalid_argument(
+        "cell_graph_phase2: cells carry no tight bounds (sort_eps_cells)");
+  }
+  // Serial boundary, as in cell_phase2: nothing is touched before it.
+  RTD_TRACE_SPAN("engine.phase2");
+  telemetry::count(telemetry::Counter::kEnginePhase2Launches);
+  RTD_FAILPOINT("engine.phase2");
+
+  const Timer timer;
+  rt::LaunchStats launch;
+  if (n_cells > 0) {
+    // The cells were sorted over these bounds, so this is their layout.
+    geom::Aabb bounds;
+    for (const geom::Aabb& b : cells.box) bounds.grow(b);
+    const CellLayout layout(bounds, cells.eps);
+    // A cell's key is its low corner's: every member shares its coords.
+    const bool narrow = layout.key_bits() <= 32;
+    if (cores.size() < n_cells) cores.resize(n_cells);
+    if (narrow && keys.size() < n_cells) keys.resize(n_cells);
+    rt::parallel_launch(
+        n_cells, threads, [&](rt::TraversalStats&, std::size_t c) {
+          std::uint32_t a = cells.starts[c];
+          while (a < cells.starts[c + 1] && !is_core[cells.ids[a]]) ++a;
+          cores[c] = a < cells.starts[c + 1] ? a : kNoCore;
+          if (narrow) {
+            keys[c] =
+                static_cast<std::uint32_t>(layout.key_of(cells.box[c].lo));
+          }
+        });
+    const float eps2 = cells.eps * cells.eps;
+    launch = narrow
+                 ? walk_cells(
+                       layout, eps2, points, cells, cores, is_core, dsu,
+                       [&](std::size_t c) -> std::uint64_t { return keys[c]; },
+                       threads)
+                 : walk_cells(
+                       layout, eps2, points, cells, cores, is_core, dsu,
+                       [&](std::size_t c) {
+                         return layout.key_of(cells.box[c].lo);
+                       },
+                       threads);
+  }
+  launch.seconds = timer.seconds();
   return launch;
 }
 

@@ -20,20 +20,26 @@
 // ε, so cell-mates are pairwise neighbors).  A cell whose members are all
 // core is one component: it is pre-unioned and merged with its surroundings
 // by ONE inflated-box query instead of |cell| per-point queries.  With no
-// cells, cell_phase2 is exactly the per-point phase 2 above.  The session
-// (rtd::Clusterer) and fdbscan_densebox run phase 2 this way;
-// cluster_with_index, rt_dbscan() and fdbscan() keep the paper's per-point
-// Algorithm 3 (one ray per core point).
+// cells, cell_phase2 is exactly the per-point phase 2 above.
+// fdbscan_densebox runs phase 2 this way; cluster_with_index, rt_dbscan()
+// and fdbscan() keep the paper's per-point Algorithm 3 (one ray per core
+// point).
 //
-// Cell-batched phase 1 (grid-cell counting, Gan & Tao SIGMOD'15; Wang, Gu
-// & Shun SIGMOD'20): cell_phase1 sorts the points into the same ε-cells
-// once and counts each cell against its neighbor cells, crediting whole
-// cells that box distances prove in range — exact counts, identical to
-// index_phase1's.  Every full recount of a session (run, the heal
-// re-cluster, the shared counting pass of sweep) uses it, and run() hands
-// its sorted cells to phase 2 (certify_eps_cells) instead of grouping
-// again.  Early-exit sessions, the one-shots, fdbscan_densebox and the
-// insert/remove count maintenance keep per-point queries.
+// Cell-batched phases (grid-cell counting and cell-graph connectivity, Gan
+// & Tao SIGMOD'15; Wang, Gu & Shun SIGMOD'20): cell_phase1 sorts the points
+// into the same ε-cells once and counts each cell against its neighbor
+// cells, crediting whole cells that box distances prove in range — exact
+// counts, identical to index_phase1's.  cell_graph_phase2 walks the same
+// sorted cells: it unites each pair of neighboring cells through their
+// first ε-close core pair and attaches every border point to its first
+// core within ε, with no index query, no atomic claim, and a result that
+// does not depend on the thread count.  Every full recount of a session
+// (run, the heal re-cluster, the shared counting pass of sweep) uses
+// cell_phase1, and every session phase 2 uses cell_graph_phase2 — run()
+// hands phase 1's sorted cells over; reruns reuse them; after mutations
+// and per sweep entry sort_eps_cells sorts anew.  Early-exit counting, the
+// one-shots, fdbscan_densebox, the insert/remove count maintenance and a
+// grid beyond the cell-key range keep per-point queries.
 #pragma once
 
 #include <atomic>
@@ -43,6 +49,7 @@
 
 #include "dbscan/core.hpp"
 #include "dsu/atomic_disjoint_set.hpp"
+#include "geom/aabb.hpp"
 #include "index/neighbor_index.hpp"
 
 namespace rtd::dbscan {
@@ -126,16 +133,19 @@ rt::LaunchStats index_phase1_insert(const index::NeighborIndex& index,
                                     std::vector<std::uint32_t>& nbr_starts);
 
 /// ε-cell grouping: the slots of a launch order binned by the
-/// index::EpsCellGrid of ε over those slots' bounds, as a CSR.  Only cells
-/// that can be pre-unioned are kept: two or more members whose TIGHT
-/// bounds have a diagonal within ε (a float-rounding guard at cell faces —
-/// every kept cell is a certified clique of ε-neighbors).  A function of
-/// (points, ε, the slots grouped) only, so callers may cache it across
-/// min_pts values.
+/// index::EpsCellGrid of ε over those slots' bounds, as a CSR in cell-key
+/// order.  group_eps_cells keeps only the cells that can be pre-unioned:
+/// two or more members whose TIGHT bounds have a diagonal within ε (a
+/// float-rounding guard at cell faces — every kept cell is a certified
+/// clique of ε-neighbors).  sort_eps_cells (and cell_phase1's handover)
+/// keep every occupied cell, with its tight bounds in `box`.  Either is a
+/// function of (points, ε, the slots grouped) only, so callers may cache it
+/// across min_pts values.
 struct EpsCells {
   float eps = 0.0f;                   ///< the grid's ε (0: never grouped)
   std::vector<std::uint32_t> ids;     ///< member slot ids, cell by cell
   std::vector<std::uint32_t> starts;  ///< cell c: ids[starts[c], starts[c+1])
+  std::vector<geom::Aabb> box;        ///< tight bounds per cell (all-cell CSR)
 
   [[nodiscard]] std::size_t count() const {
     return starts.empty() ? 0 : starts.size() - 1;
@@ -158,6 +168,17 @@ void group_eps_cells(std::span<const geom::Vec3> points, float eps,
                      std::span<const std::uint32_t> order, int threads,
                      EpsCells& cells, std::vector<std::uint32_t>& keys,
                      std::vector<std::uint32_t>& swap);
+
+/// Every occupied ε-cell of the slots of `order` into `cells` at `eps`,
+/// each with its tight bounds: the CSR cell_graph_phase2 walks.  The same
+/// sort as group_eps_cells, with the same borrowed `keys` / `swap` scratch,
+/// and the same empty result beyond the key range (callers then run
+/// per-point phase 2).  Fires the engine.cells failpoint before touching
+/// `cells`.  `threads` = 0 uses all hardware threads.
+void sort_eps_cells(std::span<const geom::Vec3> points, float eps,
+                    std::span<const std::uint32_t> order, int threads,
+                    EpsCells& cells, std::vector<std::uint32_t>& keys,
+                    std::vector<std::uint32_t>& swap);
 
 /// Exact cell-batched phase 1: per-slot ε-neighbor counts (excluding
 /// self) for every column of `eps_columns` (strictly ascending; else
@@ -186,20 +207,43 @@ void group_eps_cells(std::span<const geom::Vec3> points, float eps,
 /// engine.phase1 failpoint, span and launch counter before any output is
 /// touched.
 ///
-/// With `sorted` non-null and a single column, the cell CSR (every
-/// occupied cell, grid of ε) is left there for certify_eps_cells; it is
-/// empty after a fallback.
+/// With `sorted` non-null and a single column, the cells are left there
+/// as sort_eps_cells would leave them (every occupied cell at ε, tight
+/// bounds included), ready for cell_graph_phase2; empty after a fallback.
 rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
                             std::span<const float> eps_columns,
                             std::span<const std::uint32_t> order, int threads,
                             std::vector<std::uint32_t>& counts,
                             EpsCells* sorted = nullptr);
 
-/// Reduce cell_phase1's CSR of every occupied cell (in place, then trimmed)
-/// to the certified cells group_eps_cells would have produced at
-/// `cells.eps` — the same cells in the same order, without a second sort.
-/// Fires the engine.cells failpoint before touching `cells`.
-void certify_eps_cells(std::span<const geom::Vec3> points, EpsCells& cells);
+/// Cell-graph phase 2 over sort_eps_cells' CSR (std::invalid_argument when
+/// `cells` has no tight bounds): unions in `dsu` connect every ε-close pair
+/// of cores and attach every border point to one core within ε.  Per
+/// occupied cell, walking the ±2 stencil with cell_phase1's cursors:
+///   - the cell's cores are united, all at once when its tight-box diagonal
+///     is within ε² (a certified clique), pairwise otherwise;
+///   - each later stencil cell holding cores is skipped when the nearest
+///     box distance is beyond ε², united when the farthest is within ε²,
+///     skipped when both cells are cliques already in one set, and
+///     otherwise united at the first ε-close core pair (every pair when
+///     either cell is not a clique);
+///   - each non-core member attaches to the first core within ε, its own
+///     cell first, then the stencil in order.
+/// Every decision uses geom::distance_squared(a, b) <= ε * ε or a box bound
+/// of it, so the clustering is exact; each border point is attached by its
+/// own cell's task only, so there is no claim race and the partition does
+/// not depend on `threads`.  `keys` and `cores` are per-cell scratch,
+/// grown to the cell count if smaller (callers lend idle buffers).  The
+/// returned stats count one ray per occupied cell, one aabb_test per box
+/// test and one isect_call per distance predicate; no tree is walked.
+/// Fires the engine.phase2 failpoint, span and launch counter before any
+/// output is touched.
+rt::LaunchStats cell_graph_phase2(std::span<const geom::Vec3> points,
+                                  const EpsCells& cells,
+                                  std::span<const std::uint8_t> is_core,
+                                  dsu::AtomicDisjointSet& dsu, int threads,
+                                  std::vector<std::uint32_t>& keys,
+                                  std::vector<std::uint32_t>& cores);
 
 /// Phase 2 over any index: concurrent union-find merges initiated by core
 /// points (Alg. 3 lines 7-18); border points claimed atomically through

@@ -4,9 +4,9 @@
 // ε (edge ε/√3, or ε/√2 for flat z = const data) anchored at the low corner
 // of the points' bounds.  Any two points sharing a cell are then within ε
 // of each other.  index::DenseBoxIndex walks these cells to answer queries;
-// the engine's cell-aware phase 2 (dbscan::group_eps_cells) groups the
-// points by them.  Both build their grid through this type, so a cell means
-// the same thing in both places.
+// the engine's cell phases (dbscan::group_eps_cells, sort_eps_cells,
+// cell_phase1, cell_graph_phase2) group the points by them.  All build
+// their grid through this type, so a cell means the same thing everywhere.
 #pragma once
 
 #include <cmath>

@@ -318,13 +318,13 @@ TEST(ChaosConcurrent, ReadersSurviveWriterFaults) {
   }
 
   // A writer step can take only microseconds, so the whole loop could end
-  // before a reader thread is even scheduled.  Each step that completed
-  // therefore waits, up to a deadline, until the readers complete another
-  // read: reads then interleave with the faulted writes.  (A step that
-  // threw may have dropped the index, and readers cannot snapshot until
-  // the next writer call rebuilds it.)  A reader that can never complete a
-  // read (every snapshot or query throwing) fails the test at the deadline
-  // instead of hanging it.
+  // before a reader thread is even scheduled.  Each step therefore waits,
+  // up to a deadline, until the readers complete another read: reads then
+  // interleave with the faulted writes.  A step that threw waits too — a
+  // rolled-back batch that dropped the index rebuilds it before rethrowing,
+  // so readers can snapshot without another writer call.  A reader that
+  // can never complete a read (every snapshot or query throwing) fails the
+  // test at the deadline instead of hanging it.
   const auto reads_grow_past = [&](std::uint64_t seen) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -335,6 +335,7 @@ TEST(ChaosConcurrent, ReadersSurviveWriterFaults) {
     return true;
   };
   const std::uint64_t reads_at_start = reads.load(std::memory_order_relaxed);
+  std::uint64_t steps = 0;
   std::uint64_t completed_steps = 0;
 
   Rng rng(0xFA11);
@@ -369,8 +370,8 @@ TEST(ChaosConcurrent, ReadersSurviveWriterFaults) {
     fail::disarm_all();
     const ValidationReport rep = session.validate(ValidationLevel::kQuick);
     EXPECT_TRUE(rep.ok) << (rep.issues.empty() ? "" : rep.issues.front());
-    if (!completed) continue;
-    ++completed_steps;
+    ++steps;
+    if (completed) ++completed_steps;
     if (!reads_grow_past(seen)) {
       ADD_FAILURE() << "no reader completed a read around writer step "
                     << step;
@@ -382,7 +383,8 @@ TEST(ChaosConcurrent, ReadersSurviveWriterFaults) {
   stop.store(true);
   for (auto& r : readers) r.join();
   EXPECT_GT(completed_steps, 0u);
-  EXPECT_GE(reads_during_writer, completed_steps);
+  EXPECT_EQ(steps, 60u);
+  EXPECT_GE(reads_during_writer, steps);
   expect_valid(session, ValidationLevel::kDeep, "concurrent epilogue");
 }
 

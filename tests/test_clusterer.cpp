@@ -561,8 +561,13 @@ TEST(ClustererTriangle, SweepMatchesOneShotAndRefits) {
       expect_matches_rt_oneshot(pts, Params{eps_values[s], min_pts}, r,
                                 oneshot, what + " sweep");
     }
-    // Phase 2 traced rays through the tessellated mesh.
-    EXPECT_GT(curve.front().stats.phase2.work.anyhit_calls, 0u) << what;
+    // The session's phase 2 walks the ε-cells and traces nothing; the
+    // one-shot traces its phase-2 rays through the tessellated mesh.
+    EXPECT_EQ(curve.front().stats.phase2.work.anyhit_calls, 0u) << what;
+    EXPECT_GT(core::rt_dbscan(pts, Params{eps_values[0], min_pts}, oneshot)
+                  .phase2.work.anyhit_calls,
+              0u)
+        << what;
     // The accessor reports the resolved pipeline, not kAuto.
     EXPECT_EQ(session.backend(), IndexKind::kBvhRt);
     EXPECT_TRUE(session.counts_cached()) << what;

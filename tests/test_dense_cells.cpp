@@ -1,7 +1,8 @@
-// Cell-aware phases in the session engine: every Clusterer phase 2 groups
-// the live points by ε-cell, pre-unions the all-core cells and merges each
-// with one box query, and every full recount (run, heal, the shared pass of
-// sweep) counts ε-neighbors cell by cell.  The clustering must stay
+// Cell-batched phases in the session engine: every full recount (run,
+// heal, the shared pass of sweep) counts ε-neighbors cell by cell, and
+// every Clusterer phase 2 walks the same sorted ε-cells, uniting
+// neighboring cells through their first ε-close core pair.  The clustering
+// must stay
 // equivalent to the sequential reference, and the counts identical to the
 // per-point phase 1, on every backend, at every thread count, through run,
 // min_pts rerun and sweep — including the inputs that stress the cells:
@@ -199,7 +200,11 @@ TEST(ClustererDenseCells, KeysWiderThan32BitsStillGroup) {
   check_matrix(pts, 0.5f, 10, "wide keys");
   Clusterer session(pts, Options());
   const ClusterResult& r = session.run(0.5f, 10);
-  EXPECT_LT(r.stats.phase2.work.rays, core_count(r));
+  // Phase 2 walks the cells phase 1 sorted: one ray per occupied cell,
+  // fewer than the points.
+  EXPECT_EQ(r.stats.phase2.work.rays, r.stats.phase1.work.rays);
+  EXPECT_LT(r.stats.phase2.work.rays, pts.size());
+  EXPECT_EQ(r.stats.phase2.work.nodes_visited, 0u);
 }
 
 TEST(ClustererDenseCells, CountsMatchPerPointPhase1) {
@@ -338,19 +343,30 @@ TEST(ClustererDenseCells, DenseInputQueriesFewerThanOnePerCore) {
   const auto dataset = data::taxi_gps(3000, 106);
   for (const IndexKind kind : index::kAllIndexKinds) {
     Clusterer session(dataset.points, Options().with_backend(kind));
+    // Phase 2 queries no index: it walks the occupied cells phase 1
+    // sorted (one ray each, fewer than the points) and visits no tree
+    // node; the rerun walks the same cached cells.
     const ClusterResult& r = session.run(0.3f, 8);
-    EXPECT_LT(r.stats.phase2.work.rays, core_count(r))
+    const rt::TraversalStats run_work = r.stats.phase2.work;
+    EXPECT_GT(core_count(r), 0u) << index::to_string(kind);
+    EXPECT_EQ(run_work.rays, r.stats.phase1.work.rays)
         << index::to_string(kind);
+    EXPECT_LT(run_work.rays, dataset.points.size()) << index::to_string(kind);
+    EXPECT_EQ(run_work.nodes_visited, 0u) << index::to_string(kind);
+    EXPECT_GT(run_work.aabb_tests, 0u) << index::to_string(kind);
     const ClusterResult& rerun = session.run(0.3f, 16);
-    EXPECT_LT(rerun.stats.phase2.work.rays, core_count(rerun))
+    EXPECT_EQ(rerun.stats.phase2.work.rays, run_work.rays)
+        << index::to_string(kind);
+    EXPECT_EQ(rerun.stats.phase2.work.nodes_visited, 0u)
         << index::to_string(kind);
   }
 }
 
-TEST(ClustererDenseCells, NoQualifyingCellMeansOneRayPerCore) {
+TEST(ClustererDenseCells, NoSharedCellMeansOneRayPerPoint) {
   // A lattice at 0.9 eps spacing: every point has its four axis neighbors
   // within eps, but no two points share a cell (edge eps/√2 < 0.9 eps), so
-  // no cell qualifies and phase 2 is exactly per-point.
+  // phase 2 walks one cell per point.  A one-point cell's box is the point,
+  // so the box tests decide every pair and no distance test is needed.
   std::vector<Vec3> pts;
   for (int y = 0; y < 20; ++y) {
     for (int x = 0; x < 20; ++x) {
@@ -362,9 +378,65 @@ TEST(ClustererDenseCells, NoQualifyingCellMeansOneRayPerCore) {
     Clusterer session(pts, Options().with_backend(kind));
     const ClusterResult& r = session.run(1.0f, 4);
     EXPECT_GT(core_count(r), 0u);
-    EXPECT_EQ(r.stats.phase2.work.rays, core_count(r))
-        << index::to_string(kind);
+    EXPECT_LT(core_count(r), pts.size());
+    const rt::TraversalStats& w = r.stats.phase2.work;
+    EXPECT_EQ(w.rays, pts.size()) << index::to_string(kind);
+    EXPECT_GT(w.aabb_tests, 0u) << index::to_string(kind);
+    EXPECT_EQ(w.isect_calls, 0u) << index::to_string(kind);
+    EXPECT_EQ(w.nodes_visited, 0u) << index::to_string(kind);
     expect_oracle_parity(session, r, index::to_string(kind));
+  }
+}
+
+TEST(ClustererDenseCells, SessionResultsDoNotDependOnThreadCount) {
+  // Each border point joins the first core within ε in a fixed order, from
+  // its own cell's task, so the labels themselves (not only the partition
+  // up to border ties) are identical at every thread count.  Point 298 of
+  // taxi_gps(600, 94) at minPts 5 is a border within ε of cores in two
+  // clusters.
+  struct Case {
+    std::string name;
+    std::vector<Vec3> pts;
+    float eps;
+    std::uint32_t min_pts;
+  };
+  const Case cases[] = {
+      {"taxi_gps 600", data::taxi_gps(600, 94).points, 0.3f, 5},
+      {"taxi_gps 2000", data::taxi_gps(2000, 101).points, 0.3f, 8},
+      {"3-D blobs", data::gaussian_blobs(1500, 3, 0.3f, 10.0f, 3, 103).points,
+       0.5f, 10},
+  };
+  const auto results = [](const Case& c, const Options& options) {
+    Clusterer session(c.pts, options);
+    std::vector<ClusterResult> out;
+    out.push_back(session.run(c.eps, c.min_pts));
+    out.push_back(session.run(c.eps, 2 * c.min_pts));
+    const std::vector<float> ladder{0.5f * c.eps, c.eps, 1.5f * c.eps};
+    for (ClusterResult& r : session.sweep(ladder, c.min_pts)) {
+      out.push_back(std::move(r));
+    }
+    return out;
+  };
+  for (const Case& c : cases) {
+    for (const IndexKind kind : index::kAllIndexKinds) {
+      const std::vector<ClusterResult> serial =
+          results(c, Options().with_backend(kind).with_threads(1));
+      for (const int threads : kThreadCounts) {
+        if (threads == 1) continue;
+        const std::vector<ClusterResult> parallel =
+            results(c, Options().with_backend(kind).with_threads(threads));
+        ASSERT_EQ(parallel.size(), serial.size());
+        for (std::size_t k = 0; k < serial.size(); ++k) {
+          const std::string what = c.name + " / " + index::to_string(kind) +
+                                   " / threads " + std::to_string(threads) +
+                                   " / result " + std::to_string(k);
+          EXPECT_EQ(parallel[k].labels, serial[k].labels) << what;
+          EXPECT_EQ(parallel[k].is_core, serial[k].is_core) << what;
+          EXPECT_EQ(parallel[k].neighbor_counts, serial[k].neighbor_counts)
+              << what;
+        }
+      }
+    }
   }
 }
 
@@ -377,10 +449,12 @@ TEST(ClustererDenseCells, GroupingFaultDegradesThenNextWriterCallHeals) {
   Clusterer session(base.points, Options());
   (void)session.run(0.3f, 8);
 
-  // A new eps misses the grouping cache: the fault fires inside
-  // finish_run, after the result buffers were touched.
+  // A mutation drops the cached cells, and a run at the maintained eps
+  // reuses the counts, so phase 2 sorts the cells anew: the fault fires
+  // inside finish_run, after the result buffers were touched.
+  (void)session.insert(std::vector<Vec3>{{1.0f, 1.0f, 0.0f}});
   fail::arm("engine.cells", {.action = fail::Action::kThrowBadAlloc});
-  EXPECT_THROW((void)session.run(0.35f, 8), std::bad_alloc);
+  EXPECT_THROW((void)session.run(0.3f, 8), std::bad_alloc);
   fail::disarm_all();
   EXPECT_EQ(session.health(), SessionHealth::kDegraded);
   EXPECT_TRUE(session.validate(ValidationLevel::kQuick).ok);

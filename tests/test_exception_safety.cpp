@@ -11,12 +11,14 @@
 #include <cstdint>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/failpoint.hpp"
 #include "core/clusterer.hpp"
 #include "data/generators.hpp"
 #include "dbscan/equivalence.hpp"
+#include "geom/vec3.hpp"
 #include "index/index_kind.hpp"
 
 namespace rtd {
@@ -147,6 +149,43 @@ TEST_F(FailpointGated, InsertCountFaultRollsBackStorageAndCounts) {
   // And the session keeps streaming.
   (void)session.insert(std::vector<Vec3>{{1.0f, 1.0f, 0.0f}});
   expect_oracle_clean(session, "insert after rolled-back insert");
+}
+
+TEST_F(FailpointGated, RolledBackInsertKeepsServingSnapshots) {
+  // A fault after the index absorbed the batch drops the index; the
+  // rollback rebuilds it over the restored live set, so readers need no
+  // writer call before they can snapshot again.
+  const auto base = data::taxi_gps(300, 44);
+  for (const IndexKind kind : index::kAllIndexKinds) {
+    const std::string what = index::to_string(kind);
+    Clusterer session(base.points, Options().with_backend(kind));
+    (void)session.run(0.3f, 5);
+    session.remove(std::vector<std::uint32_t>{3, 50, 120});
+
+    fail::arm("engine.phase1_insert", {.action = fail::Action::kThrowError});
+    EXPECT_THROW((void)session.insert(std::vector<Vec3>{{1.0f, 1.0f, 0.0f}}),
+                 std::runtime_error)
+        << what;
+    fail::disarm_all();
+    EXPECT_EQ(session.health(), SessionHealth::kHealthy) << what;
+
+    const auto snap = session.snapshot();
+    ASSERT_EQ(snap->size(), session.size()) << what;
+    const float eps2 = snap->eps() * snap->eps();
+    for (std::uint32_t q = 0; q < session.size(); q += 7) {
+      const Vec3 center = session.points()[q];
+      std::vector<std::uint32_t> brute;
+      for (std::uint32_t j = 0; j < session.size(); ++j) {
+        if (session.is_live(j) &&
+            geom::distance_squared(center, session.points()[j]) <= eps2) {
+          brute.push_back(j);
+        }
+      }
+      EXPECT_EQ(snap->query_neighbors(center), brute) << what << " query "
+                                                      << q;
+    }
+    EXPECT_TRUE(session.validate(ValidationLevel::kDeep).ok) << what;
+  }
 }
 
 TEST_F(FailpointGated, RemovalCaptureFaultIsStrong) {

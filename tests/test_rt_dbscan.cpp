@@ -292,8 +292,12 @@ TEST(RtDbscanRunner, TriangleModeFirstRunMatchesOneShot) {
   const ClusterResult& cached = session.run(params.eps, params.min_pts);
   EXPECT_TRUE(session.counts_cached());
   EXPECT_EQ(cached.stats.geometry, GeometryMode::kTriangles);
-  // Phase 2 traces its rays through the tessellated mesh.
-  EXPECT_GT(cached.stats.phase2.work.anyhit_calls, 0u);
+  // The session's phase 2 walks the ε-cells and traces nothing; the
+  // one-shot traces its phase-2 rays through the tessellated mesh.
+  EXPECT_EQ(cached.stats.phase2.work.nodes_visited, 0u);
+  EXPECT_EQ(cached.stats.phase2.work.anyhit_calls, 0u);
+  EXPECT_GT(rt_dbscan(dataset.points, params, opts).phase2.work.anyhit_calls,
+            0u);
   expect_session_matches_oneshot(dataset.points, params, cached, opts,
                                  "triangle first run");
   // A minPts rerun skips phase 1 entirely.

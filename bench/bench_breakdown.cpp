@@ -17,6 +17,17 @@
 #include "dbscan/fdbscan.hpp"
 #include "data/generators.hpp"
 
+namespace {
+
+/// Seconds the session's first snapshot() takes: the serving index's build.
+double timed_snapshot(const rtd::Clusterer& session) {
+  const rtd::Timer t;
+  (void)session.snapshot();
+  return t.seconds();
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace rtd;
   const Flags flags(argc, argv);
@@ -89,8 +100,10 @@ int main(int argc, char** argv) {
       (fd_p1 + fd_p2) / (rt_p1 + rt_p2));
 
   // -------------------------------------------------------------------------
-  // NeighborIndex backend sweep: one cold session per backend (the session
-  // API reports the build vs phase split itself via RunStats).
+  // NeighborIndex backend sweep: one cold session per backend.  run()
+  // reports its phases via RunStats but builds no index (both phases walk
+  // the ε-cells); the "build" column times the first snapshot(), which
+  // builds the serving index.
   // -------------------------------------------------------------------------
   std::printf("\n--- NeighborIndex backend sweep (rtd::Clusterer, n=%zu) "
               "---\n", total_n);
@@ -103,13 +116,12 @@ int main(int argc, char** argv) {
       continue;
     }
     ClusterResult run;
+    double build = 0.0;
     bench::time_median(cfg.reps, [&] {
-      // Options defaults (early_exit off) match the engine defaults the
-      // pre-session code measured, keeping columns comparable across
-      // BENCH_PR3/4/5 snapshots.
       Clusterer session = Clusterer::borrowing(
           dataset.points, Options().with_backend(kind));
       run = session.run(eps, min_pts);
+      build = timed_snapshot(session);
     });
     bench::verify(dataset.points, params, rtr.clustering,
                   run.to_clustering(), index::to_string(kind));
@@ -119,12 +131,11 @@ int main(int argc, char** argv) {
     // total = build + phases (the pre-session column semantics), NOT the
     // full run() wall time — run.seconds also covers the result epilogue
     // (label finalization, membership table), which is not under test.
-    sweep.add_row({index::to_string(st.backend),
-                   Table::seconds(st.timings.index_build_seconds),
+    sweep.add_row({index::to_string(st.backend), Table::seconds(build),
                    Table::seconds(st.phase1.seconds),
                    Table::seconds(st.phase2.seconds),
-                   Table::seconds(st.timings.index_build_seconds +
-                                  st.phase1.seconds + st.phase2.seconds),
+                   Table::seconds(build + st.phase1.seconds +
+                                  st.phase2.seconds),
                    Table::num(isect_per_query, 1)});
   }
   if (cfg.csv) {
@@ -148,21 +159,21 @@ int main(int argc, char** argv) {
     for (const rt::TraversalWidth width :
          {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
       ClusterResult run;
+      double build = 0.0;
       bench::time_median(cfg.reps, [&] {
         Clusterer session = Clusterer::borrowing(
             dataset.points, Options().with_backend(kind).with_width(width));
         run = session.run(eps, min_pts);
+        build = timed_snapshot(session);
       });
       bench::verify(dataset.points, params, rtr.clustering,
                     run.to_clustering(), rt::to_string(width));
       const auto& st = run.stats;
       widths.add_row(
           {index::to_string(kind), rt::to_string(width),
-           Table::seconds(st.timings.index_build_seconds),
-           Table::seconds(st.phase1.seconds),
+           Table::seconds(build), Table::seconds(st.phase1.seconds),
            Table::seconds(st.phase2.seconds),
-           Table::seconds(st.timings.index_build_seconds +
-                          st.phase1.seconds + st.phase2.seconds),
+           Table::seconds(build + st.phase1.seconds + st.phase2.seconds),
            Table::num(st.phase1.nodes_per_ray() +
                           st.phase2.nodes_per_ray(), 1),
            Table::num(st.phase1.isect_per_ray() +

@@ -1,20 +1,14 @@
 // Session ε-sweep vs rebuild-per-eps (the PR 5 headline): the same 5-value
 // ε ladder clustered (a) by constructing a fresh session per ε — what a
 // caller of the one-shot rtd::cluster() pays — and (b) by one
-// rtd::Clusterer::sweep, whose plan builds the index ONCE at the ladder
-// maximum, serves every value's phase 1 from one shared counting launch,
-// and refits per step where the backend supports it
-// (NeighborIndex::try_set_eps).  The gap is the amortized index builds
-// plus the k-1 counting launches the plan avoids; scripts/bench_snapshot.sh
-// gates session ≥ 1.3x over rebuild on the BVH-backed backends
-// (BENCH_PR5.json; its shipped snapshot records 1.4-2.3x across all four
-// indexed backends).
+// rtd::Clusterer::sweep, whose plan serves every value's phase 1 from one
+// shared counting pass over the ε-cells at the ladder maximum.  Neither
+// builds a neighbor index (both phases walk the ε-cells), so the gap is
+// the k-1 counting passes the plan avoids; scripts/bench_snapshot.sh
+// gates session ≥ 1.3x over rebuild on the BVH-backed backends.
 //
-// grid/densebox are measured too: their refit contract returns false, so
-// a run()-loop would rebuild per step — but sweep() sidesteps even that
-// (its ε_max build legally answers every smaller query radius), which is
-// why their ratios land with the refit-capable backends' rather than at
-// 1.0x.
+// Neither path's batch work depends on the backend; every backend is still
+// measured, so a change that adds index work to one path shows.
 //
 // Requires google-benchmark (skipped by CMake when absent).
 #include <benchmark/benchmark.h>
@@ -59,11 +53,10 @@ void BM_EpsSweepRebuild(benchmark::State& state, IndexKind kind) {
   for (auto _ : state) {
     std::uint64_t acc = 0;
     for (const float eps : ladder) {
-      // Borrowing + early-exit: exactly what a one-shot rtd::cluster()
-      // call per eps pays.
+      // A fresh borrowing session per eps: exactly what a one-shot
+      // rtd::cluster() call per eps pays.
       rtd::Clusterer session = rtd::Clusterer::borrowing(
-          data.points,
-          rtd::Options().with_backend(kind).with_early_exit(true));
+          data.points, rtd::Options().with_backend(kind));
       acc += session.run(eps, kMinPts).cluster_count;
     }
     benchmark::DoNotOptimize(acc);

@@ -8,13 +8,15 @@
 // densebox, brute); --width picks the BVH traversal layout (auto, binary,
 // wide); --trace drains the run's telemetry spans into a Chrome trace-event
 // JSON file (needs a build with -DRTDBSCAN_TELEMETRY=ON).
-// Demonstrates rtd::Clusterer — the session is built once, the first run()
-// pays the index build, and the second run() at a new min_pts reuses the
-// cached neighbor counts (phase 1 skipped).  This file is the README's
-// "Quick use" snippet, kept compiling.
+// Demonstrates rtd::Clusterer — the session is built once, run() builds no
+// neighbor index, the second run() at a new min_pts reuses the cached
+// neighbor counts (phase 1 skipped), and the first snapshot() builds the
+// index that serves reads.  This file is the README's "Quick use" snippet,
+// kept compiling.
 #include <cstdio>
 
 #include "common/cli.hpp"
+#include "common/timer.hpp"
 #include "core/api.hpp"
 #include "data/generators.hpp"
 
@@ -35,8 +37,9 @@ int main(int argc, char** argv) {
       rtd::data::gaussian_blobs(n, /*k=*/5, /*stddev=*/0.8f,
                                 /*extent=*/40.0f);
 
-  // A session owns the dataset and a prebuilt neighbor index; run() is the
-  // entire pipeline (per-point ε-queries + union-find clustering).
+  // A session owns the dataset; run() is the entire pipeline (neighbor
+  // counts and cluster formation over the ε-cells).  It builds no neighbor
+  // index: the first snapshot() or ε-query builds one to serve reads.
   rtd::Clusterer session(
       dataset.points,
       rtd::Options().with_backend(*backend).with_width(*width));
@@ -54,9 +57,9 @@ int main(int argc, char** argv) {
   std::printf("  noise points: %zu (%.1f%%)\n", result.noise_count(),
               100.0 * static_cast<double>(result.noise_count()) /
                   static_cast<double>(dataset.size()));
-  std::printf("  wall time   : %.3f ms (index build %.3f ms)\n",
-              result.seconds * 1e3,
-              result.stats.timings.index_build_seconds * 1e3);
+  std::printf("  wall time   : %.3f ms (phase 1 %.3f ms, phase 2 %.3f ms)\n",
+              result.seconds * 1e3, result.stats.phase1.seconds * 1e3,
+              result.stats.phase2.seconds * 1e3);
 
   // Per-cluster sizes via the membership views (top 5).
   std::printf("  cluster sizes:");
@@ -65,12 +68,22 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", result.cluster_count > 5 ? " ..." : "");
 
-  // Re-run at a different minPts: the session reuses the index AND the
-  // cached neighbor counts, paying only cluster formation (§VI-B).
+  // Re-run at a different minPts: the session reuses the cached neighbor
+  // counts and ε-cells, paying only cluster formation (§VI-B).
   const rtd::ClusterResult& rerun = session.run(eps, min_pts * 2);
   std::printf("  rerun minPts=%u: %u clusters in %.3f ms (%s)\n", min_pts * 2,
               rerun.cluster_count, rerun.seconds * 1e3,
               rerun.stats.counts_reused ? "cached counts, phase 1 skipped"
                                         : "counts recomputed");
+
+  // Serving reads: the first snapshot builds the neighbor index at the
+  // last clustering's ε; later reads reuse it.
+  const rtd::Timer build;
+  const auto snap = session.snapshot();
+  std::printf("  first snapshot: %s index at eps %.3f built in %.3f ms, "
+              "%zu neighbors of point 0\n",
+              rtd::index::to_string(snap->backend()),
+              static_cast<double>(snap->eps()), build.millis(),
+              snap->query_neighbors(0u).size());
   return 0;
 }

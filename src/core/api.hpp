@@ -10,8 +10,9 @@
 //   auto result = rtd::cluster(points, /*eps=*/0.5f, /*min_pts=*/10);
 //   // result.labels[i] in [0, result.cluster_count) or rtd::kNoise
 //
-//   // Multi-run session (parameter exploration — the index is built once,
-//   // REFIT on eps changes, and neighbor counts are cached across min_pts):
+//   // Multi-run session (parameter exploration — the ε-cells and neighbor
+//   // counts are cached across min_pts; the serving index is built only
+//   // when a query or snapshot first needs it):
 //   rtd::Clusterer session(points);
 //   rtd::ClusterResult a = session.run(0.5f, 10);   // copy to keep: run()
 //   rtd::ClusterResult b = session.run(0.5f, 20);   // returns a view into
@@ -37,7 +38,7 @@ namespace rtd {
 ///
 /// A thin wrapper over a throwaway rtd::Clusterer session — use the session
 /// directly when you will run more than once on the same data (parameter
-/// sweeps reuse the index; this function rebuilds it every call).
+/// sweeps and min_pts reruns reuse its cached counts and cells).
 ///
 /// `backend` selects the neighbor-index backend answering the ε-queries
 /// (see index::IndexKind and docs/ARCHITECTURE.md).  The default kAuto
@@ -46,10 +47,8 @@ namespace rtd {
 /// points and clusters; border-point ties may resolve differently, as
 /// DBSCAN permits).
 ///
-/// Note: this wrapper enables the early-exit phase-1 optimization, so
-/// this run's neighbor_counts are capped at its min_pts - 1 on backends
-/// whose traversal can stop early.  Use a Clusterer with the default
-/// Options::early_exit = false when you need exact counts.
+/// Like a session run, it builds no neighbor index: both phases walk the
+/// ε-cells, and neighbor_counts are exact.
 ClusterResult cluster(std::span<const geom::Vec3> points, float eps,
                       std::uint32_t min_pts,
                       index::IndexKind backend = index::IndexKind::kAuto);

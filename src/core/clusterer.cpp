@@ -220,12 +220,23 @@ struct Clusterer::Impl {
   Options opts;
 
   // --- the NeighborIndex session state ------------------------------------
-  /// Built at the first run.  Shared (not unique) so a published
-  /// IndexSnapshot can keep the structure alive after the session swaps to
-  /// a replacement.
-  std::shared_ptr<index::NeighborIndex> index;
-  IndexKind resolved = IndexKind::kAuto;  ///< kAuto pinned at first build
-  float index_eps = 0.0f;
+  // The batch calls (run, rerun, sweep, the heal re-cluster) walk the
+  // ε-cells and build no index.  The serving index is built by its first
+  // user: the writer's ε-taking query_neighbors and the mutations
+  // (ensure_index), or the first snapshot after a clustering
+  // (acquire_snapshot, a reader).  publish_mu guards it and its ε, and
+  // serializes the slow paths: writer index mutation/retargeting and
+  // snapshot creation, the build included.
+  mutable Mutex publish_mu;
+  /// Shared (not unique) so a published IndexSnapshot can keep the
+  /// structure alive after the session swaps to a replacement.
+  std::shared_ptr<index::NeighborIndex> index RTD_GUARDED_BY(publish_mu);
+  /// The ε the index is built for; with no index, the ε the next build
+  /// serves (the last clustering's).  0 before the first clustering.
+  float index_eps RTD_GUARDED_BY(publish_mu) = 0.0f;
+  /// kAuto pinned at the first clustering or build; set by the writer
+  /// before index_eps, so a reader-side build finds it resolved.
+  IndexKind resolved = IndexKind::kAuto;
   /// Query launch order over the LIVE slots only — rebuilt lazily after
   /// mutations (ensure_order).  Engine phases launch one query per entry.
   std::vector<std::uint32_t> order;
@@ -237,7 +248,7 @@ struct Clusterer::Impl {
   std::size_t oldest_live = 0;  ///< advance() expiry cursor (insertion order)
   /// Mutated slots absorbed into the index since its last full build; past
   /// rebuild_threshold() the next mutation rebuilds over the live set.
-  std::size_t pending_mutations = 0;
+  std::size_t pending_mutations RTD_GUARDED_BY(publish_mu) = 0;
   /// result holds the clustering mutations maintain.  Set by run()/sweep(),
   /// cleared by take_result() (mutations then have no baseline and throw).
   bool result_current = false;
@@ -254,13 +265,11 @@ struct Clusterer::Impl {
 
   // --- the concurrent serving layer ---------------------------------------
   // Readers (snapshot(), const query_neighbors/query_batch) take ONE atomic
-  // load in steady state.  publish_mu serializes the slow paths only:
-  // writer index mutation/retargeting and first-snapshot creation.
-  // index_shared (guarded by publish_mu) records whether the CURRENT index
-  // object is aliased by any snapshot — if so, the writer must never mutate
-  // it: it swaps in a freshly built replacement instead, and the old
-  // structure is reclaimed when the last snapshot holder releases it.
-  Mutex publish_mu;
+  // load in steady state; publish_mu (above) covers the slow paths.
+  // index_shared records whether the CURRENT index object is aliased by
+  // any snapshot — if so, the writer must never mutate it: it swaps in a
+  // freshly built replacement instead, and the old structure is reclaimed
+  // when the last snapshot holder releases it.
   std::atomic<std::shared_ptr<const IndexSnapshot>> published;
   bool index_shared RTD_GUARDED_BY(publish_mu) = false;
 
@@ -269,7 +278,6 @@ struct Clusterer::Impl {
   std::vector<std::uint32_t> counts;
   bool counts_valid = false;
   float counts_eps = 0.0f;
-  std::uint32_t counts_cap = index::kNoCap;  ///< kNoCap = exact
 
   // Every occupied ε-cell of the live set with its tight bounds, the CSR
   // the cell-graph phase 2 walks: like the counts, a pure function of
@@ -348,10 +356,29 @@ struct Clusterer::Impl {
     return o;
   }
 
-  /// The traversal layout RunStats reports: the layout the index's build
-  /// resolved.  Called only after ensure_index(), so the index exists.
-  [[nodiscard]] rt::TraversalWidth stats_width() const {
-    return index->traversal_width();
+  /// The traversal layout RunStats reports: the serving index's, read
+  /// from it when it exists, else resolved as its build over the live
+  /// slots will resolve it.  kBinary for the non-tree backends.
+  [[nodiscard]] rt::TraversalWidth stats_width() {
+    {
+      const MutexLock lock(publish_mu);
+      if (index) return index->traversal_width();
+    }
+    std::size_t prims = live_slots();
+    if (opts.geometry == core::GeometryMode::kTriangles) {
+      // 20 * 4^s triangles per point; past the kAuto threshold the exact
+      // count no longer matters.
+      prims *= 20;
+      for (int s = 0; s < opts.triangle_subdivisions &&
+                      prims < rt::kWideBvhMinPrims;
+           ++s) {
+        prims *= 4;
+      }
+    } else if (resolved != IndexKind::kBvhRt &&
+               resolved != IndexKind::kPointBvh) {
+      return rt::TraversalWidth::kBinary;
+    }
+    return rt::resolved_traversal_width(opts.width, prims);
   }
 
   [[nodiscard]] bool is_live_slot(std::size_t i) const {
@@ -382,20 +409,25 @@ struct Clusterer::Impl {
     return std::max<std::size_t>(64, live_n / 8);
   }
 
+  /// Pin kAuto to a concrete backend (writer side, at the first
+  /// clustering or build; `eps` is what the heuristic resolves against).
+  void resolve_backend(float eps) {
+    if (resolved != IndexKind::kAuto) return;
+    // Triangle geometry (§VI-C) is an RT scene: it reports kBvhRt.
+    resolved = opts.geometry == core::GeometryMode::kTriangles
+                   ? IndexKind::kBvhRt
+               : opts.backend == IndexKind::kAuto
+                   ? index::choose_index_kind(pts, eps)
+                   : opts.backend;
+  }
+
   /// Build a FRESH index at `eps` over the live set: the plain backend when
   /// every slot is live, the CompactedIndex adapter (dense live copy,
   /// slot-id translation) when tombstones exist — a plain rebuild over the
-  /// full span would resurrect them.  Caller holds publish_mu whenever a
-  /// snapshot could exist.  Resets the absorbed-mutation budget.
+  /// full span would resurrect them.  The backend is already resolved.
+  /// Resets the absorbed-mutation budget.
   void build_index_now(float eps) RTD_REQUIRES(publish_mu) {
     const bool triangles = opts.geometry == core::GeometryMode::kTriangles;
-    if (resolved == IndexKind::kAuto) {
-      // Triangle geometry (§VI-C) is an RT scene: it reports kBvhRt.
-      resolved = triangles ? IndexKind::kBvhRt
-                 : opts.backend == IndexKind::kAuto
-                     ? index::choose_index_kind(pts, eps)
-                     : opts.backend;
-    }
     index.reset();  // release the old structure before building anew
     if (triangles) {
       // Never tombstoned: triangle sessions refuse mutations.
@@ -428,20 +460,23 @@ struct Clusterer::Impl {
     order_valid = true;
   }
 
-  /// Make the session index answer queries at `eps`: build it on the first
-  /// call, REFIT in place where the backend supports it, rebuild where it
-  /// does not.  Records what happened and what it cost.
-  EnsureStats ensure_index(float eps) {
-    EnsureStats es;
+  /// Make the session index answer queries at `eps` and return it: REFIT
+  /// in place where the backend supports it, rebuild where it does not,
+  /// and build an absent one — unless `build` is false, which leaves an
+  /// absent index absent (its first user builds it at `eps`) and returns
+  /// null.  Adds what happened and what it cost to `es`.
+  index::NeighborIndex* ensure_index(float eps, EnsureStats& es,
+                                     bool build = true) {
+    resolve_backend(eps);
+    const Timer t;
+    const MutexLock lock(publish_mu);
     if (!index) {
-      Timer t;
-      const MutexLock lock(publish_mu);
+      index_eps = eps;
+      if (!build) return nullptr;
       build_index_now(eps);
       es.rebuilt = true;
-      es.seconds = t.seconds();
+      es.seconds += t.seconds();
     } else if (eps != index_eps) {
-      Timer t;
-      const MutexLock lock(publish_mu);
       // Unpublish first: new readers re-snapshot the post-retarget index;
       // in-flight readers' own shared_ptr copies keep the old snapshot
       // (and through it the old structure) alive until they finish.
@@ -460,21 +495,25 @@ struct Clusterer::Impl {
         build_index_now(eps);
         es.rebuilt = true;
       }
-      es.seconds = t.seconds();
+      es.seconds += t.seconds();
     }
-    return es;
+    return index.get();
   }
 
-  /// Retarget inside sweep(): prefer a refit; the rebuild-only backends
-  /// (grid/dense-box) deliberately STAY at the ladder-maximum build, which
-  /// legally serves any smaller query radius.  If a snapshot aliases the
-  /// structure (a reader snapped it mid-sweep), the aliased structure is
-  /// abandoned and a replacement built at ε_max — so later, larger ladder
-  /// values stay servable — then refit down to this entry's ε.
-  void sweep_retarget(float eps, float eps_max, EnsureStats& step) {
-    if (eps == index_eps) return;
+  /// Retarget an existing index inside sweep(): prefer a refit; the
+  /// rebuild-only backends (grid/dense-box) deliberately STAY at the
+  /// ladder-maximum build, which legally serves any smaller query radius.
+  /// If a snapshot aliases the structure (a reader snapped it mid-sweep),
+  /// the aliased structure is abandoned and a replacement built at ε_max —
+  /// so later, larger ladder values stay servable — then refit down to
+  /// this entry's ε.  With no index, records `eps` as the ε the first
+  /// build serves and returns null; otherwise returns the index.
+  index::NeighborIndex* sweep_retarget(float eps, float eps_max,
+                                       EnsureStats& step) {
     const Timer t;
     const MutexLock lock(publish_mu);
+    if (!index) index_eps = eps;
+    if (!index || eps == index_eps) return index.get();
     published.store(nullptr);
     if (index_shared) {
       build_index_now(eps_max);
@@ -489,12 +528,14 @@ struct Clusterer::Impl {
       step.refitted = true;
       step.seconds += t.seconds();
     }
+    return index.get();
   }
 
   /// The reader slow path behind snapshot() and the const queries: fetch
   /// the published snapshot, creating it under publish_mu on first access
-  /// after a (re)build or retarget.  The fast path is the lock-free atomic
-  /// load at the top.
+  /// after a (re)build or retarget — and building the index first, at the
+  /// last clustering's ε, when no writer call has built one.  The fast
+  /// path is the lock-free atomic load at the top.
   [[nodiscard]] std::shared_ptr<const IndexSnapshot> acquire_snapshot() {
     if (opts.geometry == core::GeometryMode::kTriangles) {
       throw std::logic_error(
@@ -506,18 +547,20 @@ struct Clusterer::Impl {
     const MutexLock lock(publish_mu);
     snap = published.load();
     if (snap) return snap;
-    if (!index) {
+    if (!index && index_eps == 0.0f) {
       throw std::logic_error(
-          "Clusterer: no index to snapshot yet — run() or sweep() builds "
-          "it (kAuto needs an eps to resolve against)");
+          "Clusterer: nothing to snapshot yet — run() or sweep() first "
+          "(kAuto needs an eps to resolve against)");
     }
     // Span covers only the creation slow path — the steady-state atomic
     // load above stays untraced (and unmeasured: it is the serving fast
     // path the overhead gate protects).
     RTD_TRACE_SPAN("session.publish");
     // A throw here (injected or real) is harmless: nothing was published,
-    // the session index is untouched, and the caller can simply retry.
+    // the session index is untouched (or still absent), and the caller can
+    // simply retry.
     RTD_FAILPOINT("session.publish");
+    if (!index) build_index_now(index_eps);
     auto created =
         std::make_shared<const IndexSnapshot>(index, storage, pts, index_eps);
     published.store(created);
@@ -531,11 +574,12 @@ struct Clusterer::Impl {
   /// for sweep() — passed as a span so no intermediate copy is needed):
   /// core flags, the ε-cells (cached), the cell-graph phase 2 over the
   /// reusable workspace, label finalization, membership table, totals.
-  /// The cells are always sorted at `query_eps` itself, which inside
-  /// sweep() may sit below the index's build ε; only the per-point
-  /// fallback queries the index.
+  /// The cells are always sorted at `query_eps` itself.  Only the per-point
+  /// fallback (cells beyond the key range) queries an index, the one
+  /// `fallback` returns, which must serve `query_eps`.
   void finish_run(float query_eps, std::uint32_t min_pts,
-                  std::span<const std::uint32_t> cts, const Timer& total) {
+                  std::span<const std::uint32_t> cts, const Timer& total,
+                  dbscan::FallbackIndex fallback) {
     ClusterResult& r = result;
     const std::size_t n = pts.size();
 
@@ -579,7 +623,7 @@ struct Clusterer::Impl {
       for (std::size_t i = 0; i < n; ++i) {
         claimed[i].store(0, std::memory_order_relaxed);
       }
-      r.stats.phase2 = dbscan::index_phase2(*index, query_eps, order,
+      r.stats.phase2 = dbscan::index_phase2(fallback(), query_eps, order,
                                             r.is_core, *dsu, claimed,
                                             opts.threads);
     }
@@ -680,60 +724,46 @@ struct Clusterer::Impl {
       return r;
     }
 
+    // No index is built here: both phases walk the ε-cells.  An index that
+    // already exists (a reader or a writer query built it) is retargeted to
+    // eps, so the next snapshot serves this clustering; an absent one
+    // records eps for its first build.  Only cells beyond the key range
+    // fall back to per-point queries, through an index built on demand.
     EnsureStats es;
     try {
-      es = ensure_index(eps);
+      (void)ensure_index(eps, es, /*build=*/false);
       ensure_order();
     } catch (...) {
       restore_metadata();  // strong: a failed build left no index behind
       throw;
     }
     r.stats.backend = resolved;
-    r.stats.width = stats_width();
-    r.stats.index_rebuilt = es.rebuilt;
-    r.stats.index_refitted = es.refitted;
-    r.stats.timings.index_build_seconds = es.seconds;
+    const auto fallback = [&]() -> const index::NeighborIndex& {
+      return *ensure_index(eps, es);
+    };
 
     // Phase 1 (core identification) — or the cached-counts fast path.  The
-    // cache survives refits: counts depend only on (points, eps).  Capped
-    // counts (early_exit) still decide the core test for any min_pts whose
-    // threshold min_pts - 1 lies at or below the recorded cap.
-    dbscan::Params params{eps, min_pts, resolved};
-    const bool reuse = counts_valid && counts_eps == eps &&
-                       (counts_cap == index::kNoCap ||
-                        min_pts - 1 <= counts_cap);
-    if (reuse) {
+    // cache survives refits: counts depend only on (points, eps).
+    if (counts_valid && counts_eps == eps) {
       r.stats.counts_reused = true;
     } else {
       counts_valid = false;  // a throw mid-launch would leave them torn
       try {
-        if (opts.early_exit) {
-          // Capped per-point counts: the cap is the point of early exit.
-          r.stats.phase1 = dbscan::index_phase1(*index, params, order, true,
-                                                opts.threads, counts);
-        } else {
-          // Exact counts by cell.  On a cell-cache miss the sorted cells
-          // go on to phase 2, which then needs no second sort.
-          const bool sort = !cells_valid || cells.eps != eps;
-          if (sort) cells_valid = false;
-          const float column[] = {eps};
-          r.stats.phase1 =
-              dbscan::cell_phase1(*index, column, order, opts.threads,
-                                  counts, sort ? &cells : nullptr);
-          cells_valid = true;
-        }
+        // Exact counts by cell.  On a cell-cache miss the sorted cells go
+        // on to phase 2, which then needs no second sort.
+        const bool sort = !cells_valid || cells.eps != eps;
+        if (sort) cells_valid = false;
+        const float column[] = {eps};
+        r.stats.phase1 =
+            dbscan::cell_phase1(pts, column, order, opts.threads, fallback,
+                                counts, sort ? &cells : nullptr);
+        cells_valid = true;
       } catch (...) {
         restore_metadata();  // strong; the count cache is dropped, not torn
         throw;
       }
       counts_valid = true;
       counts_eps = eps;
-      // The RT backend ignores the early-exit hint (OptiX) and returned
-      // exact counts — record them as such so any later min_pts reuses
-      // them.
-      counts_cap = opts.early_exit && resolved != IndexKind::kBvhRt
-                       ? min_pts - 1
-                       : index::kNoCap;
       r.stats.timings.core_phase_seconds = r.stats.phase1.seconds;
     }
 
@@ -741,7 +771,7 @@ struct Clusterer::Impl {
     last_min_pts = min_pts;
     params_valid = true;
     try {
-      finish_run(eps, min_pts, counts, total);
+      finish_run(eps, min_pts, counts, total, fallback);
     } catch (...) {
       // The result buffers are partially overwritten.  Committed state
       // (points, mask, counts) is coherent; only the labels are torn —
@@ -750,6 +780,10 @@ struct Clusterer::Impl {
       result_current = false;
       throw;
     }
+    r.stats.width = stats_width();
+    r.stats.index_rebuilt = es.rebuilt;
+    r.stats.index_refitted = es.refitted;
+    r.stats.timings.index_build_seconds = es.seconds;
     set_health(SessionHealth::kHealthy);
     result_current = true;
     // The histogram records exactly what RunStats reports (same Timer).
@@ -787,12 +821,6 @@ struct Clusterer::Impl {
           "Clusterer: mutations maintain the last clustering — run() or "
           "sweep() first (and again after take_result())");
     }
-    if (counts_cap != index::kNoCap) {
-      throw std::logic_error(
-          "Clusterer: incremental maintenance needs exact neighbor counts — "
-          "early-exit sessions cache capped ones (create the session "
-          "without Options::early_exit to stream)");
-    }
     dbscan::require_finite(add);
     const std::size_t n = pts.size();
     rem_sorted.assign(rem.begin(), rem.end());
@@ -824,7 +852,7 @@ struct Clusterer::Impl {
     // label repair, which degrades instead of rolling back.)
     const RunStats stats_backup = result.stats;
     const double seconds_backup = result.seconds;
-    const std::size_t pending_backup = pending_mutations;
+    std::size_t pending_backup = 0;  // read under the lock in stage 3
     const bool live_was_empty = live.empty();
     const auto restore_stats = [&]() noexcept {
       result.stats = stats_backup;
@@ -839,12 +867,17 @@ struct Clusterer::Impl {
     st.timings = dbscan::PhaseTimings{};
 
     // Stage 1 — the index must exist and serve the result's ε before the
-    // batch can be queried (a sweep can park a rebuild-only backend at the
-    // ladder maximum; a session whose first run saw no points has no index
-    // yet).  A failed build leaves no index (the next call rebuilds);
-    // everything observable is pre-call: strong.
+    // batch can be queried: the first mutation after a batch call builds
+    // it, unless a snapshot already did (a sweep can also park a
+    // rebuild-only backend at the ladder maximum).  A failed build leaves
+    // no index (the next call rebuilds); everything observable is
+    // pre-call: strong.  From here on no reader builds (the index exists),
+    // and only this writer replaces it — under the lock, in stage 3 — so
+    // `idx` is read under the lock and stays valid until then.
+    index::NeighborIndex* idx = nullptr;
     try {
-      const EnsureStats es = ensure_index(eps);
+      EnsureStats es;
+      idx = ensure_index(eps, es);
       st.index_rebuilt = es.rebuilt;
       st.index_refitted = es.refitted;
       st.timings.index_build_seconds = es.seconds;
@@ -862,7 +895,7 @@ struct Clusterer::Impl {
       try {
         if (live.empty()) live.assign(n, 1);
         st.phase1 = dbscan::index_phase1_remove(
-            *index, eps, rem_sorted, counts, rem_nbr_ids, rem_nbr_starts);
+            *idx, eps, rem_sorted, counts, rem_nbr_ids, rem_nbr_starts);
       } catch (...) {
         if (live_was_empty) live.clear();  // all-ones mask == empty mask
         restore_stats();
@@ -895,12 +928,10 @@ struct Clusterer::Impl {
     // Undo stages 2+3.  Noexcept; call with publish_mu HELD.  When the
     // index may be mid-mutation (a backend threw partway through absorb)
     // or reading a relocated span (in-place append moved the buffer), it
-    // is dropped and rebuilt over the rolled-back live set, so snapshots
-    // and const queries keep serving; if that rebuild throws too, the
-    // session stays without an index until the next writer call's
-    // ensure_index.  Readers stay safe: published is nulled and any
-    // snapshot taken meanwhile owns its own references to whatever
-    // structure it captured.
+    // is dropped: the next snapshot or writer call builds a fresh one over
+    // the rolled-back live set, at the result's ε.  Readers stay safe:
+    // published is nulled and any snapshot taken meanwhile owns its own
+    // references to whatever structure it captured.
     const auto rollback_batch_locked = [&]() noexcept {
       // Defined outside the lock scope but only ever called with publish_mu
       // held (both call sites below) — re-assert for the analysis, which
@@ -921,18 +952,12 @@ struct Clusterer::Impl {
       }
       pending_mutations = pending_backup;
       rollback_removal();
-      if (index_hazard) {
-        try {
-          build_index_now(eps);
-        } catch (...) {
-          // Best effort: build_index_now left no index behind, and the
-          // next writer call's ensure_index builds one.
-        }
-      }
     };
+    std::size_t pending_after = 0;
     {
       const MutexLock lock(publish_mu);
       published.store(nullptr);
+      pending_backup = pending_mutations;
       try {
         if (!add.empty()) {
           const bool borrowed = !storage || storage->data() != pts.data();
@@ -984,6 +1009,8 @@ struct Clusterer::Impl {
           build_index_now(eps);
           st.index_rebuilt = true;
         }
+        idx = index.get();
+        pending_after = pending_mutations;
         order_valid = false;
       } catch (...) {
         rollback_batch_locked();
@@ -1000,7 +1027,7 @@ struct Clusterer::Impl {
     if (!add.empty()) {
       try {
         const rt::LaunchStats ins = dbscan::index_phase1_insert(
-            *index, eps, first_new, counts, ins_nbr_ids, ins_nbr_starts);
+            *idx, eps, first_new, counts, ins_nbr_ids, ins_nbr_starts);
         st.phase1.seconds += ins.seconds;
         st.phase1.work += ins.work;
       } catch (...) {
@@ -1025,7 +1052,6 @@ struct Clusterer::Impl {
     st.timings.core_phase_seconds = st.phase1.seconds;
     counts_valid = true;
     counts_eps = eps;
-    counts_cap = index::kNoCap;
     last_eps = eps;
     last_min_pts = min_pts;
     params_valid = true;
@@ -1033,7 +1059,7 @@ struct Clusterer::Impl {
     // Stage 5 — label repair.  The result buffers are rewritten in place;
     // rollback is impossible mid-way, so a throw degrades.
     try {
-      maintain_labels(first_new, eps);
+      maintain_labels(first_new, eps, *idx);
     } catch (...) {
       set_health(SessionHealth::kDegraded);
       result_current = false;
@@ -1049,7 +1075,7 @@ struct Clusterer::Impl {
     telemetry::gauge_set(telemetry::Gauge::kSessionLivePoints,
                          static_cast<std::int64_t>(live_slots()));
     telemetry::gauge_set(telemetry::Gauge::kSessionPendingMutations,
-                         static_cast<std::int64_t>(pending_mutations));
+                         static_cast<std::int64_t>(pending_after));
     return first_new;
   }
 
@@ -1146,7 +1172,8 @@ struct Clusterer::Impl {
   /// falls back to a first-seen renumbering of every slot plus
   /// build_membership().  The fast step costs O(|T| + |W| + C_old) plus
   /// block moves in the membership table.
-  void maintain_labels(std::size_t first_new, float eps) {
+  void maintain_labels(std::size_t first_new, float eps,
+                       const index::NeighborIndex& idx) {
     RTD_TRACE_SPAN("session.repair");
     const Timer phase_timer;
     ClusterResult& r = result;
@@ -1317,7 +1344,7 @@ struct Clusterer::Impl {
           const std::uint32_t x = cut_list[lo + cut_order[g]];
           if (is_live_slot(x)) {
             add_w(x);  // demoted: border of a neighbor cluster, or noise
-            index->query_sphere(pts[x], eps, x, classify, work);
+            idx.query_sphere(pts[x], eps, x, classify, work);
           } else {
             const auto pos = static_cast<std::size_t>(
                 std::lower_bound(rem_sorted.begin(), rem_sorted.end(), x) -
@@ -1467,7 +1494,7 @@ struct Clusterer::Impl {
                 continue;
               }
             }
-            index->query_sphere(
+            idx.query_sphere(
                 pts[u], eps, u,
                 [&](std::uint32_t j) {
                   if (!is_live_slot(j) || !core_now(j) || !r.is_core[j] ||
@@ -1566,7 +1593,7 @@ struct Clusterer::Impl {
     for (std::uint32_t w = 0; w < w_count; ++w) {
       const std::uint32_t i = wlist[w];
       if (!core_now(i)) continue;
-      index->query_sphere(
+      idx.query_sphere(
           pts[i], eps, i,
           [&](std::uint32_t j) {
             const std::uint32_t wj = wloc[j];
@@ -1608,7 +1635,7 @@ struct Clusterer::Impl {
     for (std::uint32_t w = 0; w < w_count; ++w) {
       const std::uint32_t i = wlist[w];
       if (core_now(i) || claim[w]) continue;
-      index->query_sphere(
+      idx.query_sphere(
           pts[i], eps, i,
           [&](std::uint32_t j) {
             if (claim[w] || !core_now(j)) return;
@@ -1835,15 +1862,16 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
     return out;
   }
 
-  // Shared phase 1: the index is built (or retargeted) ONCE at the
-  // ladder's maximum ε, and a single cell_phase1 pass counts every ladder
-  // value at once — cells sorted at ε_max, each pair's box distances
-  // decide the columns they can, and an ambiguous pair's exact d² is
-  // bucketed into the rest with the same d² <= ε² test every backend's
-  // exact filter applies, so each column equals a native phase 1 at that
-  // ε.  The per-eps cost that remains is cluster formation; rebuild-per-eps
-  // pays k index builds AND k full counting passes (bench_micro_sweep
-  // measures the gap).  Duplicate ladder values share one column (their
+  // Shared phase 1: a single cell_phase1 pass counts every ladder value at
+  // once — cells sorted at ε_max, each pair's box distances decide the
+  // columns they can, and an ambiguous pair's exact d² is bucketed into
+  // the rest with the same d² <= ε² test every backend's exact filter
+  // applies, so each column equals a native phase 1 at that ε.  No index
+  // is built: an existing one is retargeted to ε_max (and per entry below)
+  // as run() retargets it, and only the per-point fallback builds one, at
+  // ε_max.  The per-eps cost that remains is cluster formation;
+  // rebuild-per-eps pays k index builds AND k full counting passes
+  // (bench_micro_sweep measures the gap).  Duplicate ladder values share one column (their
   // counts are identical by definition), so the scratch is O(k_unique·n)
   // — the one deliberate deviation from the engine's O(n) memory, bounded
   // by the ladder length.  Every value was validated finite above, so
@@ -1853,7 +1881,8 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   const float eps_max =
       *std::max_element(eps_values.begin(), eps_values.end());
   const Timer first_entry_timer;  // entry 0 is charged with the shared work
-  const Impl::EnsureStats build = im.ensure_index(eps_max);
+  Impl::EnsureStats shared_step;  // the ε_max step, charged to entry 0
+  (void)im.ensure_index(eps_max, shared_step, /*build=*/false);
   im.ensure_order();
   im.sweep_eps.assign(eps_values.begin(), eps_values.end());
   std::sort(im.sweep_eps.begin(), im.sweep_eps.end());
@@ -1878,7 +1907,11 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   im.cells = dbscan::EpsCells{};
   im.cells_valid = false;
   const rt::LaunchStats shared_phase1 = dbscan::cell_phase1(
-      *im.index, im.sweep_eps, im.order, im.opts.threads, im.sweep_counts);
+      im.pts, im.sweep_eps, im.order, im.opts.threads,
+      [&]() -> const index::NeighborIndex& {
+        return *im.ensure_index(eps_max, shared_step);
+      },
+      im.sweep_counts);
 
   for (std::size_t v = 0; v < k; ++v) {
     const Timer entry_timer;
@@ -1898,28 +1931,30 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
       r.stats.backend = im.resolved;
       r.stats.width = im.stats_width();
 
-      // Retarget the index to this ladder value where refit is supported
-      // (the RT scene's radius is baked in, so its phase-2 queries need
-      // it).  Where it is not (grid/dense-box), the ε_max build legally
-      // serves any query radius <= its build ε — no rebuild happens in a
-      // sweep at all (unless a concurrent reader snapped the structure
-      // mid-sweep; see sweep_retarget).
+      // Retarget an existing index to this ladder value where refit is
+      // supported, so the next snapshot serves it.  Where it is not
+      // (grid/dense-box), the ε_max build legally serves any query radius
+      // <= its build ε — no rebuild happens in a sweep at all (unless a
+      // concurrent reader snapped the structure mid-sweep; see
+      // sweep_retarget).  The per-point phase-2 fallback builds an absent
+      // index at ε_max and retargets it the same way.
       Impl::EnsureStats step;
-      im.sweep_retarget(eps, eps_max, step);
+      index::NeighborIndex* idx = im.sweep_retarget(eps, eps_max, step);
+      const auto fallback = [&]() -> const index::NeighborIndex& {
+        if (idx == nullptr) {
+          (void)im.ensure_index(eps_max, step);
+          idx = im.sweep_retarget(eps, eps_max, step);
+        }
+        return *idx;
+      };
       if (v == 0) {
         // The first entry is charged with the shared work: the ε_max index
         // step and the one counting launch that served the whole ladder.
-        step.rebuilt = build.rebuilt;
-        step.refitted = step.refitted || build.refitted;
-        step.seconds += build.seconds;
         r.stats.phase1 = shared_phase1;
         r.stats.timings.core_phase_seconds = shared_phase1.seconds;
       } else {
         r.stats.counts_reused = true;
       }
-      r.stats.index_rebuilt = step.rebuilt;
-      r.stats.index_refitted = step.refitted;
-      r.stats.timings.index_build_seconds = step.seconds;
 
       // Gather this entry's strided counters into the session cache buffer
       // (one linear pass; the per-neighbor hot loop above stays
@@ -1931,18 +1966,25 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
         im.counts[i] = im.sweep_counts[i * ku + column];
       }
       im.finish_run(eps, min_pts, im.counts,
-                    v == 0 ? first_entry_timer : entry_timer);
+                    v == 0 ? first_entry_timer : entry_timer, fallback);
+      if (v == 0) {
+        step.rebuilt = step.rebuilt || shared_step.rebuilt;
+        step.refitted = step.refitted || shared_step.refitted;
+        step.seconds += shared_step.seconds;
+      }
+      r.stats.index_rebuilt = step.rebuilt;
+      r.stats.index_refitted = step.refitted;
+      r.stats.timings.index_build_seconds = step.seconds;
       // Each entry sorts its own cells, so none outlive their entry:
       // released before the entry's result is copied out, they never add
       // to the sweep's peak (the copies grow with every entry).
       im.cells = dbscan::EpsCells{};
       im.cells_valid = false;
       // Commit: the entry's exact counts become the session count cache
-      // (the multi-count pass never caps) and the result is current —
-      // mutations maintain the LAST completed ladder entry.
+      // and the result is current — mutations maintain the LAST completed
+      // ladder entry.
       im.counts_valid = true;
       im.counts_eps = eps;
-      im.counts_cap = index::kNoCap;
       im.last_eps = eps;
       im.last_min_pts = min_pts;
       im.params_valid = true;
@@ -1969,10 +2011,11 @@ std::vector<std::uint32_t> Clusterer::query_neighbors(const Vec3& center,
   Impl& im = *impl_;
   std::vector<std::uint32_t> ids;
   if (im.pts.empty()) return ids;  // no index to build over nothing
-  im.ensure_index(eps);
+  Impl::EnsureStats es;
+  const index::NeighborIndex& idx = *im.ensure_index(eps, es);
   rt::TraversalStats stats;
-  im.index->query_sphere(center, eps, index::kNoSelf,
-                         [&](std::uint32_t j) { ids.push_back(j); }, stats);
+  idx.query_sphere(center, eps, index::kNoSelf,
+                   [&](std::uint32_t j) { ids.push_back(j); }, stats);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -2068,7 +2111,8 @@ index::IndexKind Clusterer::backend() const { return impl_->resolved; }
 
 std::optional<float> Clusterer::current_eps() const {
   const Impl& im = *impl_;
-  if (!im.index) return std::nullopt;
+  const MutexLock lock(im.publish_mu);
+  if (im.index_eps == 0.0f) return std::nullopt;
   return im.index_eps;
 }
 
@@ -2154,9 +2198,12 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
       }
     }
   }
-  if (im.index && im.index->size() != n) {
-    fail("index covers " + std::to_string(im.index->size()) +
-         " slots, session has " + std::to_string(n));
+  {
+    const MutexLock lock(im.publish_mu);
+    if (im.index && im.index->size() != n) {
+      fail("index covers " + std::to_string(im.index->size()) +
+           " slots, session has " + std::to_string(n));
+    }
   }
 
   // Result invariants — meaningful only when a coherent current result
@@ -2198,9 +2245,6 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
       break;
     } else if ((r.is_core[i] != 0) !=
                (r.neighbor_counts[i] + 1 >= r.min_pts)) {
-      // Holds for capped counts too: a count is only ever capped at a
-      // cap >= min_pts - 1 (the reuse rule enforces it), so the stored
-      // value decides the core test exactly.
       fail("slot " + std::to_string(i) +
            " core flag disagrees with its neighbor count");
       break;
@@ -2267,13 +2311,9 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
   if (level == ValidationLevel::kQuick || !rep.ok) return rep;
 
   // kCounts: exact ε-neighbor recount over the live set (O(live²) —
-  // diagnostics, not a hot path).  Exact comparison needs exact counts;
-  // an early-exit session caps them, so only the core DECISION is checked
-  // there.
+  // diagnostics, not a hot path).
   {
     const float eps2 = r.eps * r.eps;
-    const bool exact = !im.opts.early_exit ||
-                       im.resolved == IndexKind::kBvhRt;
     for (std::size_t i = 0; i < n && rep.ok; ++i) {
       if (!im.is_live_slot(i)) continue;
       std::uint32_t truth = 0;
@@ -2281,7 +2321,7 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
         if (j == i || !im.is_live_slot(j)) continue;
         truth += geom::distance_squared(im.pts[i], im.pts[j]) <= eps2;
       }
-      if (exact && truth != r.neighbor_counts[i]) {
+      if (truth != r.neighbor_counts[i]) {
         fail("slot " + std::to_string(i) + " neighbor count " +
              std::to_string(r.neighbor_counts[i]) +
              " != exact recount " + std::to_string(truth));

@@ -3,29 +3,35 @@
 // The paper's headline observation is that the neighbor-query substrate
 // dominates DBSCAN's runtime, and its §VI-B workflow ("the user is expected
 // to run DBSCAN multiple times with different parameter values") is exactly
-// where an index can be amortized.  A Clusterer owns one dataset and one
-// prebuilt NeighborIndex and reuses them across runs:
+// where that work can be amortized.  A Clusterer owns one dataset, its
+// cached neighbor counts and ε-cells, and — once something queries it —
+// one NeighborIndex, and reuses them across runs:
 //
 //   rtd::Clusterer session(points);              // or points + rtd::Options
 //   rtd::ClusterResult a = session.run(/*eps=*/0.5f, /*min_pts=*/10);
 //   rtd::ClusterResult b = session.run(0.5f, 20);  // phase 1 skipped
-//   const rtd::ClusterResult& c = session.run(0.6f, 10);   // index REFIT
 //   auto curve = session.sweep(eps_values, 10);  // per-eps results
+//   auto snap = session.snapshot();  // first read: builds the index
 //
 //   (a and b are COPIES: run() returns a reference into session-owned
 //   storage that the next run()/sweep() overwrites — copy results you
 //   want to keep side by side, or bind a reference only to the latest.)
 //
 // Lifecycle per run(eps, min_pts):
-//   * first run builds the index (backend per Options, kAuto resolved once
-//     from the data and pinned for the session's lifetime);
-//   * an eps change REFITS the index in place where the backend supports it
-//     (NeighborIndex::try_set_eps: kBvhRt refits the sphere scene — or,
-//     in triangle geometry, index::TriangleIndex rescales its mesh —
-//     kPointBvh and kBruteForce are radius-agnostic) and rebuilds only
-//     where it cannot (kGrid / kDenseBox re-bin their cells);
-//   * a min_pts-only change reuses the cached neighbor counts and pays just
-//     the cluster-formation phase (§VI-B).
+//   * no index is built: phase 1 counts by ε-cell and phase 2 walks the
+//     same cells (the first run resolves kAuto from the data and pins it
+//     for the session's lifetime);
+//   * a min_pts-only change reuses the cached neighbor counts and cells and
+//     pays just the cluster-formation phase (§VI-B);
+//   * the index is built by its first user: the first snapshot() or const
+//     query (at the last clustering's ε), the eps-taking query_neighbors,
+//     or the first mutation — and a grid beyond the cell-key range, whose
+//     phases fall back to per-point queries;
+//   * once it exists, an eps change REFITS it in place where the backend
+//     supports it (NeighborIndex::try_set_eps: kBvhRt refits the sphere
+//     scene — or, in triangle geometry, index::TriangleIndex rescales its
+//     mesh — kPointBvh and kBruteForce are radius-agnostic) and rebuilds
+//     only where it cannot (kGrid / kDenseBox re-bin their cells).
 // Which of those paths a run took is recorded in ClusterResult::stats.
 //
 // run() returns a reference to session-owned storage: the result is valid
@@ -81,7 +87,10 @@
 //     READER operations: safe from any number of threads, concurrently
 //     with each other AND with a writer retargeting ε.  They serve an
 //     immutable IndexSnapshot published behind an atomic shared_ptr — the
-//     steady-state read path is one atomic load, no locks.
+//     steady-state read path is one atomic load, no locks.  The first
+//     snapshot after a run builds the index under the publish lock, when
+//     no writer call has; concurrent first readers wait for that one
+//     build.
 //   * The writer never mutates an index a snapshot aliases: retargeting ε
 //     while snapshots exist builds a REPLACEMENT structure and drops the
 //     session's reference; readers holding the old snapshot finish at the
@@ -129,14 +138,9 @@ struct Options {
   core::GeometryMode geometry = core::GeometryMode::kSpheres;
   /// Icosphere subdivision level for kTriangles (20 * 4^s triangles/point).
   int triangle_subdivisions = 1;
-  /// Thread count for index builds and query launches; 0 = all hardware
-  /// threads.
+  /// Thread count for the cell phases, index builds and query launches;
+  /// 0 = all hardware threads.
   int threads = 0;
-  /// Stop phase-1 counting at min_pts (FDBSCAN §VI-B) on backends whose
-  /// traversal can terminate.  Off by default in sessions: exact counts are
-  /// reusable across ANY later min_pts at the same eps, capped ones only
-  /// for smaller min_pts.
-  bool early_exit = false;
   /// Launch queries in Morton order of the points (RTNN ray coherence).
   bool reorder_queries = false;
 
@@ -148,28 +152,31 @@ struct Options {
     return *this;
   }
   Options& with_threads(int t) { threads = t; return *this; }
-  Options& with_early_exit(bool e) { early_exit = e; return *this; }
   Options& with_reorder_queries(bool r) { reorder_queries = r; return *this; }
 };
 
 /// What one run() actually did and what it cost, per phase.
 struct RunStats {
-  /// The backend that answered the queries — the heuristic's concrete
-  /// choice, not kAuto.  Exception: an empty-dataset run reports kAuto,
-  /// since no index was ever built.
+  /// The session's backend — the heuristic's concrete choice, not kAuto —
+  /// whether or not this run queried an index.  Exception: an
+  /// empty-dataset run reports kAuto, since nothing was resolved.
   index::IndexKind backend = index::IndexKind::kAuto;
-  /// The traversal layout the tree walked (kAuto resolved against the
-  /// primitive count).  kBinary for the non-tree backends — grid, dense-box
-  /// and brute force have no BVH walk.
+  /// The traversal layout the serving index walks (kAuto resolved against
+  /// the primitive count), read from the index when it exists and
+  /// otherwise the layout its build will resolve to.  kBinary for the
+  /// non-tree backends — grid, dense-box and brute force have no BVH walk.
   rt::TraversalWidth width = rt::TraversalWidth::kBinary;
   core::GeometryMode geometry = core::GeometryMode::kSpheres;
-  /// This run built the index from scratch (first run, or an eps change on
-  /// a backend whose try_set_eps cannot refit).
+  /// This call built an index from scratch: the mutation that first
+  /// builds it, an eps change that cannot refit the existing one (the
+  /// backend's try_set_eps declines, or a snapshot aliases it), or a
+  /// batch call's per-point fallback beyond the cell-key range.  A batch
+  /// call otherwise builds none — both phases walk the ε-cells.
   bool index_rebuilt = false;
-  /// This run refit the existing index in place (eps change on a
+  /// This call refit an existing index in place (eps change on a
   /// refit-capable backend) — the cheap §VI-B path.  Not mutually
-  /// exclusive with index_rebuilt: a sweep's first entry can both build
-  /// the index at the ladder's ε_max and refit it to its own ε; treat
+  /// exclusive with index_rebuilt: a sweep entry can both build a
+  /// replacement at the ladder's ε_max and refit it to its own ε; treat
   /// index_rebuilt as the dominant label when both are set.
   bool index_refitted = false;
   /// Phase 1 was skipped: neighbor counts cached by an earlier run at this
@@ -183,7 +190,7 @@ struct RunStats {
   /// batch) and rebuilt the index over the live set.
   bool incremental = false;
   /// Per-phase wall clock.  index_build_seconds is the build OR refit cost
-  /// this run paid (0 when the index was reused as-is).
+  /// this call paid (0 when no index was touched).
   dbscan::PhaseTimings timings;
   /// Work counters of the two query launches (rays, node visits,
   /// Intersection calls) — zeroed for a phase that did not run.
@@ -204,7 +211,7 @@ struct ClusterResult {
   /// Number of clusters found; every id below it is used.
   std::uint32_t cluster_count = 0;
   /// Wall-clock seconds of the call that produced this result (index
-  /// build/refit included when this run paid it).
+  /// build/refit included when this call paid it).
   double seconds = 0.0;
 
   /// The parameters this result was computed for.
@@ -213,10 +220,7 @@ struct ClusterResult {
   /// What the run did (refit vs rebuild, counts reuse, resolved backend and
   /// width) and what each phase cost.
   RunStats stats;
-  /// ε-neighbor count per point, excluding self.  Exact without
-  /// Options::early_exit; with it, capped at the min_pts - 1 of the run
-  /// that COMPUTED them (a count-cache-reusing rerun at a smaller min_pts
-  /// keeps the caching run's higher cap).
+  /// ε-neighbor count per point, excluding self (exact).
   std::vector<std::uint32_t> neighbor_counts;
 
   /// Membership table: dataset indices grouped by cluster id (ascending
@@ -316,16 +320,17 @@ struct ValidationReport {
   explicit operator bool() const { return ok; }
 };
 
-/// Multi-run DBSCAN session over one dataset: owns the points and a
-/// prebuilt NeighborIndex, amortizing index builds across run()/sweep()
-/// calls (refit on eps changes, cached neighbor counts on min_pts-only
-/// changes).  Move-only.  See the file comment for the lifecycle.
+/// Multi-run DBSCAN session over one dataset: owns the points, the cached
+/// neighbor counts and ε-cells (reused on min_pts-only changes) and a
+/// NeighborIndex built when a read, a writer query or a mutation first
+/// needs it (refit on eps changes from then on).  Move-only.  See the
+/// file comment for the lifecycle.
 class Clusterer {
  public:
   /// Take ownership of `points` (no copy).  Throws std::invalid_argument on
   /// non-finite coordinates or an Options combination the session cannot
-  /// honor (kTriangles with a non-RT backend).  The index itself is built
-  /// lazily at the first run — kAuto needs an ε to resolve against.
+  /// honor (kTriangles with a non-RT backend).  No index is built here —
+  /// kAuto needs an ε to resolve against, and the batch calls need none.
   explicit Clusterer(std::vector<geom::Vec3> points, Options options = {});
   /// Copying constructor for callers that keep their own storage.
   explicit Clusterer(std::span<const geom::Vec3> points,
@@ -345,11 +350,12 @@ class Clusterer {
   Clusterer(const Clusterer&) = delete;
   Clusterer& operator=(const Clusterer&) = delete;
 
-  /// Cluster with DBSCAN(eps, min_pts), reusing the session index (refit —
-  /// not rebuild — on eps changes where the backend supports it) and cached
-  /// neighbor counts (min_pts-only changes).  The returned reference is
-  /// valid until the next run()/sweep() or destruction; warm calls perform
-  /// no heap allocations.
+  /// Cluster with DBSCAN(eps, min_pts) over the ε-cells, reusing the
+  /// cached neighbor counts and cells on min_pts-only changes.  Builds no
+  /// index; an existing one is retargeted to eps (refit — not rebuild —
+  /// where the backend supports it), so the next snapshot serves eps.  The
+  /// returned reference is valid until the next run()/sweep() or
+  /// destruction; warm calls perform no heap allocations.
   const ClusterResult& run(float eps, std::uint32_t min_pts);
 
   /// Move the most recent run's result out of the session (no copy).  For
@@ -369,13 +375,13 @@ class Clusterer {
   /// first inserted point; the batch occupies [returned, returned + count).
   /// WRITER operation.  Requires a current result — call after run() or
   /// sweep(), not before and not after take_result() (std::logic_error),
-  /// and not on an early-exit session (its cached counts are capped, and
-  /// maintenance needs exact ones) or a triangle-geometry session.  Throws
-  /// std::invalid_argument on non-finite coordinates (session unchanged).
-  /// The index absorbs the batch in place while the accumulated mutation
-  /// delta stays under the rebuild threshold (max(64, live/8) slots) and no
-  /// snapshot aliases the structure; past either, this mutation rebuilds
-  /// the index over the live set (stats.index_rebuilt reports which).
+  /// and not on a triangle-geometry session.  Throws std::invalid_argument
+  /// on non-finite coordinates (session unchanged).  The first mutation
+  /// after a batch call builds the index if no snapshot did.  The index
+  /// absorbs the batch in place while the accumulated mutation delta stays
+  /// under the rebuild threshold (max(64, live/8) slots) and no snapshot
+  /// aliases the structure; past either, this mutation rebuilds the index
+  /// over the live set (stats.index_rebuilt reports a build either way).
   std::size_t insert(std::span<const geom::Vec3> new_points);
 
   /// Tombstone the given slot ids and update the last clustering
@@ -411,15 +417,17 @@ class Clusterer {
   /// Cluster once per eps value (returned in input order) — the
   /// k-dist-style parameter exploration loop of §VI-B, executed as a
   /// session-optimized plan instead of k independent runs:
-  ///   * the index is built (or retargeted) ONCE at max(eps_values);
-  ///   * ONE counting launch buckets every neighbor's exact d² against all
-  ///     ladder values at once (a query at ε_max covers every smaller
-  ///     ε-ball, and d² <= ε² is exactly the filter each backend applies),
-  ///     so every entry's phase 1 is served by the shared pass;
-  ///   * per entry only cluster formation runs, over the reused index —
-  ///     refit per step on the refit-capable backends, and no rebuild at
-  ///     all on grid/dense-box (their build at ε_max legally answers any
-  ///     query radius below it).
+  ///   * ONE counting pass over the ε-cells of max(eps_values) buckets
+  ///     every neighbor's exact d² against all ladder values at once (an
+  ///     ε_max cell neighborhood covers every smaller ε-ball, and d² <= ε²
+  ///     is exactly the filter each backend applies), so every entry's
+  ///     phase 1 is served by the shared pass;
+  ///   * per entry only cluster formation runs, over that entry's ε-cells;
+  ///   * no index is built; an existing one is retargeted to ε_max, then
+  ///     refit per entry on the refit-capable backends and left at the
+  ///     ε_max build on grid/dense-box (it legally answers any query
+  ///     radius below it).  Without one, the first snapshot afterwards
+  ///     serves the last entry's ε.
   /// Every entry is an identical clustering to a fresh run at its eps (the
   /// parity suite enforces it); entry stats record the shared work on
   /// entry 0 and counts_reused on the rest.  Each element is an independent
@@ -454,13 +462,14 @@ class Clusterer {
   /// Publish (or fetch) the session's immutable index snapshot: the current
   /// index at its current ε behind shared ownership.  O(1) steady state
   /// (one atomic load); the first call after a retarget creates the
-  /// snapshot under a short writer-synchronized critical section.  Readers
-  /// may hold the snapshot for any length of time — a writer retargeting ε
-  /// switches to a replacement structure instead of mutating this one.
-  /// Throws std::logic_error before the first run()/sweep() (kAuto needs an
-  /// ε to resolve against, so there is no index yet) and on
-  /// triangle-geometry sessions (the serving layer is sphere-geometry
-  /// only).
+  /// snapshot under a short writer-synchronized critical section, and the
+  /// first call after a batch run()/sweep() that built no index builds it
+  /// there too, at current_eps().  Readers may hold the snapshot for any
+  /// length of time — a writer retargeting ε switches to a replacement
+  /// structure instead of mutating this one.  Throws std::logic_error
+  /// while current_eps() is nullopt (kAuto needs an ε to resolve against)
+  /// and on triangle-geometry sessions (the serving layer is
+  /// sphere-geometry only).
   [[nodiscard]] std::shared_ptr<const IndexSnapshot> snapshot() const;
 
   /// Genuinely const read: the ε-neighbors of `center` at the SNAPSHOT's
@@ -505,12 +514,14 @@ class Clusterer {
   /// The concrete backend the session resolved to, or kAuto before the
   /// first run (kAuto needs an ε to resolve against).
   [[nodiscard]] index::IndexKind backend() const;
-  /// The ε the session index is currently built/refit for; nullopt before
-  /// the first run.
+  /// The ε the next snapshot serves: the ε the session index is built/refit
+  /// for, or — with no index yet — the last clustering's, which the first
+  /// snapshot builds it at.  nullopt before the first run (and after runs
+  /// on an empty session).
   [[nodiscard]] std::optional<float> current_eps() const;
   /// True once neighbor counts are cached.  The cache is keyed on the ε
-  /// they were computed for: a run() at that ε skips phase 1 if its
-  /// min_pts is covered (always, without Options::early_exit).
+  /// they were computed for: a run() at that ε skips phase 1 for any
+  /// min_pts.
   [[nodiscard]] bool counts_cached() const;
 
   // --- Failure model (docs/ARCHITECTURE.md has the per-operation table) ----

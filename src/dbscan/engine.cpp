@@ -790,9 +790,10 @@ void sort_eps_cells(std::span<const geom::Vec3> points, float eps,
                       });
 }
 
-rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
+rt::LaunchStats cell_phase1(std::span<const geom::Vec3> points,
                             std::span<const float> eps_columns,
                             std::span<const std::uint32_t> order, int threads,
+                            FallbackIndex fallback,
                             std::vector<std::uint32_t>& counts,
                             EpsCells* sorted) {
   const std::size_t k = eps_columns.size();
@@ -802,8 +803,7 @@ rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
     throw std::invalid_argument(
         "cell_phase1: eps columns must be non-empty and strictly ascending");
   }
-  const std::size_t n = index.size();
-  const std::span<const geom::Vec3> points = index.points();
+  const std::size_t n = points.size();
   // Serial boundary, as in index_phase1: nothing is touched before it.
   RTD_TRACE_SPAN("engine.phase1");
   telemetry::count(telemetry::Counter::kEnginePhase1Launches);
@@ -822,8 +822,8 @@ rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
   const CellLayout layout(points, cells.eps, order);
   if (!layout.fits) {
     std::fill(counts.begin(), counts.end(), 0u);
-    return point_counts(index, eps_columns, order, threads, index::kNoCap,
-                        counts);
+    return point_counts(fallback(), eps_columns, order, threads,
+                        index::kNoCap, counts);
   }
 
   // Every occupied cell, sorted; the counts buffer lends the sort its key

@@ -37,9 +37,10 @@
 // (run, the heal re-cluster, the shared counting pass of sweep) uses
 // cell_phase1, and every session phase 2 uses cell_graph_phase2 — run()
 // hands phase 1's sorted cells over; reruns reuse them; after mutations
-// and per sweep entry sort_eps_cells sorts anew.  Early-exit counting, the
-// one-shots, fdbscan_densebox, the insert/remove count maintenance and a
-// grid beyond the cell-key range keep per-point queries.
+// and per sweep entry sort_eps_cells sorts anew.  Neither takes an index:
+// the session's batch calls build none.  The one-shots (early-exit
+// counting included), fdbscan_densebox, the insert/remove count
+// maintenance and a grid beyond the cell-key range keep per-point queries.
 #pragma once
 
 #include <atomic>
@@ -47,6 +48,7 @@
 #include <span>
 #include <vector>
 
+#include "common/function_ref.hpp"
 #include "dbscan/core.hpp"
 #include "dsu/atomic_disjoint_set.hpp"
 #include "geom/aabb.hpp"
@@ -180,6 +182,9 @@ void sort_eps_cells(std::span<const geom::Vec3> points, float eps,
                     EpsCells& cells, std::vector<std::uint32_t>& keys,
                     std::vector<std::uint32_t>& swap);
 
+/// The index a per-point fallback queries, produced on demand.
+using FallbackIndex = FunctionRef<const index::NeighborIndex&()>;
+
 /// Exact cell-batched phase 1: per-slot ε-neighbor counts (excluding
 /// self) for every column of `eps_columns` (strictly ascending; else
 /// std::invalid_argument), point-major — counts[i * k + u] is slot i's
@@ -199,8 +204,11 @@ void sort_eps_cells(std::span<const geom::Vec3> points, float eps,
 /// depend on `threads`.
 ///
 /// When the grid exceeds the key range (EpsCellGrid::fits_key_range) the
-/// counts come from per-point queries instead — `index` must then answer
-/// queries at the largest ε — and nothing throws for it.  The returned
+/// counts come from per-point queries instead, through the index
+/// `fallback` returns — it must answer queries at the largest ε over
+/// `points` — and nothing throws for it.  `fallback` is called only then,
+/// so a caller with no index in hand builds one only for that case.  The
+/// returned
 /// stats count one ray per occupied cell, one aabb_test per box test and
 /// one isect_call per distance predicate evaluated; the fallback's are
 /// the per-point launch's (one ray per order entry).  Fires the
@@ -210,9 +218,10 @@ void sort_eps_cells(std::span<const geom::Vec3> points, float eps,
 /// With `sorted` non-null and a single column, the cells are left there
 /// as sort_eps_cells would leave them (every occupied cell at ε, tight
 /// bounds included), ready for cell_graph_phase2; empty after a fallback.
-rt::LaunchStats cell_phase1(const index::NeighborIndex& index,
+rt::LaunchStats cell_phase1(std::span<const geom::Vec3> points,
                             std::span<const float> eps_columns,
                             std::span<const std::uint32_t> order, int threads,
+                            FallbackIndex fallback,
                             std::vector<std::uint32_t>& counts,
                             EpsCells* sorted = nullptr);
 

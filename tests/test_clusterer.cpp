@@ -1,8 +1,9 @@
 // Session API suite: rtd::Clusterer must produce clusterings identical to
 // fresh one-shot rtd::cluster() runs at every eps (for every backend and
-// traversal width) while REUSING its index — refit, not rebuild, on the
-// BVH-backed backends — and its structured results (membership views,
-// RunStats, neighbor counts) must agree with the raw labels.
+// traversal width) while building no index on its batch path and REUSING
+// one it holds — refit, not rebuild, on the BVH-backed backends — and its
+// structured results (membership views, RunStats, neighbor counts) must
+// agree with the raw labels.
 #include "core/clusterer.hpp"
 
 #include <gtest/gtest.h>
@@ -88,19 +89,16 @@ TEST(ClustererSweep, MatchesOneShotClusterOnEveryBackend) {
       EXPECT_EQ(r.eps, kSweepEps[s]);
       EXPECT_EQ(r.min_pts, min_pts);
       EXPECT_EQ(r.stats.backend, kind);
-      // Entry 0 carries the one index build (at ε_max) and the shared
-      // counting launch; later entries never rebuild — they refit where
-      // the backend supports it (try_set_eps) and otherwise reuse the
-      // ε_max build outright (grid/dense-box serve radii below build ε).
+      // A fresh session's sweep builds no index: entry 0 carries the
+      // shared counting launch over the ε-cells, later entries reuse it.
+      EXPECT_FALSE(r.stats.index_rebuilt)
+          << index::to_string(kind) << " step " << s;
+      EXPECT_FALSE(r.stats.index_refitted)
+          << index::to_string(kind) << " step " << s;
       if (s == 0) {
-        EXPECT_TRUE(r.stats.index_rebuilt) << index::to_string(kind);
         EXPECT_FALSE(r.stats.counts_reused) << index::to_string(kind);
         EXPECT_GT(r.stats.phase1.work.rays, 0u) << index::to_string(kind);
       } else {
-        EXPECT_FALSE(r.stats.index_rebuilt)
-            << index::to_string(kind) << " step " << s;
-        EXPECT_EQ(r.stats.index_refitted, refittable)
-            << index::to_string(kind) << " step " << s;
         EXPECT_TRUE(r.stats.counts_reused)
             << index::to_string(kind) << " step " << s;
         EXPECT_EQ(r.stats.phase1.work.rays, 0u);  // shared pass, not rerun
@@ -111,12 +109,18 @@ TEST(ClustererSweep, MatchesOneShotClusterOnEveryBackend) {
                                   Params{kSweepEps[s], min_pts, kind}, r,
                                   fresh, index::to_string(kind));
     }
-    // Descending re-sweep on the same session: same ε_max, so not even
-    // entry 0 rebuilds this time, and parity is order-independent.
+    // A writer query builds the index at ε_max.  The descending re-sweep
+    // retargets it per entry and never rebuilds: entries after the first
+    // refit where the backend supports it (try_set_eps) and otherwise
+    // reuse the ε_max build outright (grid/dense-box serve radii below
+    // build ε).  Parity is order-independent.
+    (void)session.query_neighbors(0u, kSweepEps.back());
     std::vector<float> descending(kSweepEps.rbegin(), kSweepEps.rend());
     const auto down = session.sweep(descending, min_pts);
     for (std::size_t s = 0; s < down.size(); ++s) {
       EXPECT_FALSE(down[s].stats.index_rebuilt)
+          << index::to_string(kind) << " re-sweep step " << s;
+      EXPECT_EQ(down[s].stats.index_refitted, refittable && s > 0)
           << index::to_string(kind) << " re-sweep step " << s;
       const ClusterResult fresh =
           cluster(dataset.points, descending[s], min_pts, kind);
@@ -140,12 +144,8 @@ TEST(ClustererSweep, MatchesOneShotAcrossTraversalWidths) {
                         Options().with_backend(kind).with_width(width));
       const auto curve = session.sweep(kSweepEps, min_pts);
       for (std::size_t s = 0; s < curve.size(); ++s) {
-        if (s == 0) {
-          EXPECT_TRUE(curve[s].stats.index_rebuilt);
-        } else {
-          EXPECT_TRUE(curve[s].stats.index_refitted);
-          EXPECT_FALSE(curve[s].stats.index_rebuilt);
-        }
+        EXPECT_FALSE(curve[s].stats.index_rebuilt);  // no index built
+        EXPECT_FALSE(curve[s].stats.index_refitted);
         const ClusterResult fresh =
             cluster(dataset.points, kSweepEps[s], min_pts, kind);
         expect_identical_clustering(
@@ -158,6 +158,52 @@ TEST(ClustererSweep, MatchesOneShotAcrossTraversalWidths) {
       EXPECT_EQ(reported, width == rt::TraversalWidth::kBinary
                               ? rt::TraversalWidth::kBinary
                               : rt::TraversalWidth::kWide);
+      // Once a writer query built the index at ε_max, a re-sweep refits it
+      // to every entry, and the built index walks the layout reported
+      // before it existed.
+      (void)session.query_neighbors(0u, kSweepEps.back());
+      const auto again = session.sweep(kSweepEps, min_pts);
+      for (std::size_t s = 0; s < again.size(); ++s) {
+        EXPECT_TRUE(again[s].stats.index_refitted) << s;
+        EXPECT_FALSE(again[s].stats.index_rebuilt) << s;
+        EXPECT_EQ(again[s].stats.width, reported) << s;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The lazy index: run, rerun and sweep walk the ε-cells and build nothing.
+// ---------------------------------------------------------------------------
+
+TEST(ClustererLazyIndex, RunRerunAndSweepBuildNoIndex) {
+  const auto dataset = data::taxi_gps(1500, 73);
+  const float eps = 0.3f;
+  const std::vector<float> ladder = {0.4f, 0.2f, 0.3f};
+  for (const IndexKind kind : index::kAllIndexKinds) {
+    for (const int threads : {1, 4}) {
+      const std::string what = std::string(index::to_string(kind)) +
+                               " / threads " + std::to_string(threads);
+      Clusterer session(dataset.points,
+                        Options().with_backend(kind).with_threads(threads));
+      std::vector<ClusterResult> results;
+      results.push_back(session.run(eps, 8));
+      results.push_back(session.run(eps, 16));
+      const std::vector<ClusterResult> swept = session.sweep(ladder, 8);
+      results.insert(results.end(), swept.begin(), swept.end());
+      for (const ClusterResult& r : results) {
+        const std::string step = what + " / eps " + std::to_string(r.eps) +
+                                 " minPts " + std::to_string(r.min_pts);
+        EXPECT_FALSE(r.stats.index_rebuilt) << step;
+        EXPECT_FALSE(r.stats.index_refitted) << step;
+        EXPECT_EQ(r.stats.timings.index_build_seconds, 0.0) << step;
+        EXPECT_EQ(r.stats.backend, kind) << step;
+        testutil::expect_matches_reference(
+            dataset.points, Params{r.eps, r.min_pts}, r.to_clustering(),
+            step.c_str());
+      }
+      // The ε the first snapshot will serve: the last clustering's.
+      EXPECT_EQ(session.current_eps(), ladder.back()) << what;
     }
   }
 }
@@ -228,53 +274,6 @@ TEST(Clusterer, MinPtsRerunReusesCountsAndMatchesOneShot) {
                                 rt_options, what + " eps step rerun");
     }
   }
-}
-
-TEST(Clusterer, EarlyExitCapsCountsButReusesWhereValid) {
-  const auto dataset = data::single_blob(2000, 0.5f, 64);
-  const float eps = 0.4f;
-  Clusterer session(dataset.points,
-                    Options()
-                        .with_backend(IndexKind::kPointBvh)
-                        .with_early_exit(true));
-  const ClusterResult& first = session.run(eps, 20);
-  // Capped counts: nothing exceeds the cap by more than a traversal step
-  // allows, and core flags are still exact.
-  const ClusterResult fresh20 =
-      cluster(dataset.points, eps, 20, IndexKind::kPointBvh);
-  expect_identical_clustering(dataset.points,
-                              Params{eps, 20, IndexKind::kPointBvh}, first,
-                              fresh20, "early-exit first run");
-  // Smaller min_pts is decidable from counts capped at 19 -> reuse.
-  const ClusterResult& smaller = session.run(eps, 10);
-  EXPECT_TRUE(smaller.stats.counts_reused);
-  const ClusterResult fresh10 =
-      cluster(dataset.points, eps, 10, IndexKind::kPointBvh);
-  expect_identical_clustering(dataset.points,
-                              Params{eps, 10, IndexKind::kPointBvh}, smaller,
-                              fresh10, "early-exit smaller minPts");
-  // Larger min_pts is NOT decidable from capped counts -> recompute.
-  const ClusterResult& larger = session.run(eps, 40);
-  EXPECT_FALSE(larger.stats.counts_reused);
-  const ClusterResult fresh40 =
-      cluster(dataset.points, eps, 40, IndexKind::kPointBvh);
-  expect_identical_clustering(dataset.points,
-                              Params{eps, 40, IndexKind::kPointBvh}, larger,
-                              fresh40, "early-exit larger minPts");
-
-  // The RT backend ignores the early-exit hint (OptiX) and counts exactly,
-  // so even a LARGER min_pts reuses its cache.
-  Clusterer rt_session(dataset.points, Options()
-                                           .with_backend(IndexKind::kBvhRt)
-                                           .with_early_exit(true));
-  (void)rt_session.run(eps, 20);
-  const ClusterResult& rt_larger = rt_session.run(eps, 40);
-  EXPECT_TRUE(rt_larger.stats.counts_reused);
-  const ClusterResult rt_fresh =
-      cluster(dataset.points, eps, 40, IndexKind::kBvhRt);
-  expect_identical_clustering(dataset.points,
-                              Params{eps, 40, IndexKind::kBvhRt}, rt_larger,
-                              rt_fresh, "rt exact counts despite early_exit");
 }
 
 // ---------------------------------------------------------------------------
@@ -552,11 +551,10 @@ TEST(ClustererTriangle, SweepMatchesOneShotAndRefits) {
       EXPECT_EQ(r.stats.geometry, core::GeometryMode::kTriangles);
       EXPECT_EQ(r.stats.backend, IndexKind::kBvhRt);
       EXPECT_EQ(r.stats.width, c.width) << what;
-      // Entry 0 builds the mesh at ε_max and counts the whole ladder;
-      // every entry rescales the mesh to its ε and refits (entry 0 from
-      // ε_max down) — no later rebuild.
-      EXPECT_EQ(r.stats.index_rebuilt, s == 0) << what << " step " << s;
-      EXPECT_TRUE(r.stats.index_refitted) << what << " step " << s;
+      // Entry 0 counts the whole ladder over the ε-cells; no entry builds
+      // or refits the mesh.
+      EXPECT_FALSE(r.stats.index_rebuilt) << what << " step " << s;
+      EXPECT_FALSE(r.stats.index_refitted) << what << " step " << s;
       EXPECT_EQ(r.stats.counts_reused, s > 0) << what << " step " << s;
       expect_matches_rt_oneshot(pts, Params{eps_values[s], min_pts}, r,
                                 oneshot, what + " sweep");
@@ -581,7 +579,9 @@ TEST(ClustererTriangle, SweepMatchesOneShotAndRefits) {
     testutil::expect_matches_reference(pts, Params{0.5f, min_pts * 2},
                                        rerun.to_clustering(),
                                        "triangle minPts rerun");
-    // A new ε rescales and refits the mesh and recounts.
+    // Once a writer query built the mesh, a new ε rescales and refits it
+    // and recounts.
+    (void)session.query_neighbors(0u, 0.5f);
     const ClusterResult& moved = session.run(0.15f, min_pts);
     EXPECT_TRUE(moved.stats.index_refitted) << what;
     EXPECT_FALSE(moved.stats.index_rebuilt) << what;
@@ -691,7 +691,7 @@ TEST(Clusterer, OneShotWrapperStillWorksForEveryBackend) {
     testutil::expect_matches_reference(dataset.points, params,
                                        r.to_clustering(), "wrapper");
     EXPECT_EQ(r.stats.backend, kind);
-    EXPECT_TRUE(r.stats.index_rebuilt);
+    EXPECT_FALSE(r.stats.index_rebuilt);  // the one-shot builds no index
   }
 }
 

@@ -152,9 +152,9 @@ TEST_F(FailpointGated, InsertCountFaultRollsBackStorageAndCounts) {
 }
 
 TEST_F(FailpointGated, RolledBackInsertKeepsServingSnapshots) {
-  // A fault after the index absorbed the batch drops the index; the
-  // rollback rebuilds it over the restored live set, so readers need no
-  // writer call before they can snapshot again.
+  // A fault after the index absorbed the batch drops the index; the next
+  // snapshot builds a fresh one over the restored live set, so readers
+  // need no writer call before they can snapshot again.
   const auto base = data::taxi_gps(300, 44);
   for (const IndexKind kind : index::kAllIndexKinds) {
     const std::string what = index::to_string(kind);
@@ -237,6 +237,7 @@ TEST_F(FailpointGated, DeclinedAbsorptionFallsBackToRebuild) {
   Clusterer session(base.points,
                     Options().with_backend(IndexKind::kPointBvh));
   (void)session.run(0.3f, 5);
+  (void)session.query_neighbors(0u, 0.3f);  // build the index to absorb into
 
   // Decline is not a fault: the index refuses the in-place absorb and the
   // session rebuilds — the mutation itself must succeed.

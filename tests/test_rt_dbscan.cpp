@@ -309,8 +309,9 @@ TEST(RtDbscanRunner, TriangleModeFirstRunMatchesOneShot) {
 }
 
 TEST(RtDbscanRunner, TriangleModeEpsSweepRefitsInPlace) {
-  // An ε change on a triangle session rescales the tessellation and
-  // REFITS; results must match a from-scratch run at every ε, across widths.
+  // An ε change on a triangle session that holds its mesh (a writer query
+  // built it) rescales the tessellation and REFITS; results must match a
+  // from-scratch run at every ε, across widths.
   const auto dataset = data::taxi_gps(600, 94);
   for (const rt::TraversalWidth width :
        {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
@@ -321,6 +322,7 @@ TEST(RtDbscanRunner, TriangleModeEpsSweepRefitsInPlace) {
     Clusterer session(dataset.points,
                       triangle_session_options(0).with_width(width));
     (void)session.run(0.2f, 5);
+    (void)session.query_neighbors(0u, 0.2f);
     for (const float eps : {0.45f, 0.15f, 0.3f}) {
       const std::string what =
           std::string(rt::to_string(width)) + " eps=" + std::to_string(eps);

@@ -18,6 +18,7 @@
 
 #include "core/clusterer.hpp"
 #include "data/generators.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace rtd {
 namespace {
@@ -258,6 +259,172 @@ TEST(Serving, RejectsInvalidRequests) {
                std::invalid_argument);
   EXPECT_THROW((void)snap->query_batch(bad_batch, nan),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The lazy serving index: run()/sweep() build none; the first snapshot
+// builds it at the last clustering's ε.
+// ---------------------------------------------------------------------------
+
+/// True when `got` holds exactly `want` for every center.
+bool batch_equals(const BatchQueryResult& got,
+                  const std::vector<std::vector<std::uint32_t>>& want) {
+  if (got.query_count() != want.size()) return false;
+  for (std::size_t q = 0; q < want.size(); ++q) {
+    const auto ids = got.neighbors_of(q);
+    if (!std::equal(ids.begin(), ids.end(), want[q].begin(), want[q].end())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<std::vector<std::uint32_t>> brute_batch(
+    std::span<const Vec3> pts, std::span<const Vec3> centers, float eps) {
+  std::vector<std::vector<std::uint32_t>> out;
+  out.reserve(centers.size());
+  for (const Vec3& c : centers) {
+    out.push_back(brute_neighbors(pts, c, eps, index::kNoSelf));
+  }
+  return out;
+}
+
+TEST(ServingLazyIndex, FirstSnapshotServesTheLastClustering) {
+  const auto dataset = data::taxi_gps(900, 92);
+  const float eps1 = 0.2f;
+  const float eps2 = 0.35f;
+  const std::vector<Vec3> centers(dataset.points.begin(),
+                                  dataset.points.begin() + 40);
+  const auto want1 = brute_batch(dataset.points, centers, eps1);
+  const auto want2 = brute_batch(dataset.points, centers, eps2);
+  for (const IndexKind kind : index::kAllIndexKinds) {
+    const std::string what = index::to_string(kind);
+    Clusterer session(dataset.points, Options().with_backend(kind));
+    (void)session.run(eps1, 5);
+    EXPECT_EQ(session.current_eps(), eps1) << what;
+    const auto snap1 = session.snapshot();
+    EXPECT_EQ(snap1->eps(), eps1) << what;
+    EXPECT_EQ(snap1->backend(), kind) << what;
+    EXPECT_TRUE(batch_equals(std::as_const(session).query_batch(centers, eps1),
+                             want1))
+        << what;
+
+    // A run at a new ε on a session already serving eps1: the next
+    // snapshot serves eps2, and the one issued before stays at eps1.
+    (void)session.run(eps2, 5);
+    EXPECT_EQ(session.current_eps(), eps2) << what;
+    const auto snap2 = session.snapshot();
+    EXPECT_EQ(snap2->eps(), eps2) << what;
+    EXPECT_TRUE(batch_equals(snap2->query_batch(centers, eps2), want2))
+        << what;
+    EXPECT_EQ(snap1->eps(), eps1) << what;
+    EXPECT_TRUE(batch_equals(snap1->query_batch(centers, eps1), want1))
+        << what;
+
+    // A fresh session's sweep builds nothing either: its first snapshot
+    // serves the LAST entry's ε, not the ladder maximum.
+    Clusterer swept(dataset.points, Options().with_backend(kind));
+    (void)swept.sweep(std::vector<float>{eps2, eps1}, 5);
+    const auto snap3 = swept.snapshot();
+    EXPECT_EQ(snap3->eps(), eps1) << what;
+    EXPECT_TRUE(batch_equals(snap3->query_batch(centers, eps1), want1))
+        << what;
+  }
+}
+
+TEST(ServingLazyIndex, ReadersRaceTheFirstBuild) {
+  // Reader threads call snapshot()/query_batch right after run(), racing
+  // to build the serving index, while the writer goes on to advance().
+  // Each answer must equal brute force over the epoch its snapshot froze
+  // (before the advance, or after it), and every pre-advance snapshot must
+  // wrap the same index: exactly one first build, never one per reader.
+  const auto dataset = data::taxi_gps(800, 93);
+  const auto arrivals = data::taxi_gps(24, 94);
+  const float eps = 0.25f;
+  constexpr int kReaders = 4;
+  constexpr int kReadsPerReader = 6;
+  constexpr std::size_t kExpire = 24;
+  const std::vector<Vec3> centers(dataset.points.begin() + 100,
+                                  dataset.points.begin() + 148);
+
+  // The two epochs: all of `dataset`, then the oldest kExpire slots gone
+  // and `arrivals` appended (slot ids keep their meaning across both).
+  std::vector<Vec3> after_pts = dataset.points;
+  after_pts.insert(after_pts.end(), arrivals.points.begin(),
+                   arrivals.points.end());
+  const auto want_before = brute_batch(dataset.points, centers, eps);
+  auto want_after = brute_batch(after_pts, centers, eps);
+  for (auto& ids : want_after) {
+    ids.erase(std::remove_if(ids.begin(), ids.end(),
+                             [](std::uint32_t j) { return j < kExpire; }),
+              ids.end());
+  }
+  ASSERT_NE(want_before, want_after);  // the epochs are distinguishable
+
+  for (const IndexKind kind : index::kAllIndexKinds) {
+    const std::string what = index::to_string(kind);
+    if (telemetry::compiled_in()) {
+      telemetry::reset();
+      telemetry::arm(telemetry::kMetrics);
+    }
+    Clusterer session(dataset.points,
+                      Options().with_backend(kind).with_threads(1));
+    (void)session.run(eps, 5);
+
+    std::atomic<int> ready{0};
+    std::atomic<std::uint64_t> wrong{0};
+    std::vector<std::vector<std::shared_ptr<const IndexSnapshot>>> seen(
+        kReaders);
+    std::vector<std::thread> readers;
+    readers.reserve(kReaders);
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        ready.fetch_add(1);
+        while (ready.load() <= kReaders) std::this_thread::yield();
+        for (int k = 0; k < kReadsPerReader; ++k) {
+          auto snap = session.snapshot();
+          const bool before = snap->size() == dataset.size();
+          if (!batch_equals(snap->query_batch(centers, eps, 1),
+                            before ? want_before : want_after)) {
+            wrong.fetch_add(1);
+          }
+          const BatchQueryResult direct =
+              std::as_const(session).query_batch(centers, eps, 1);
+          if (!batch_equals(direct, want_before) &&
+              !batch_equals(direct, want_after)) {
+            wrong.fetch_add(1);
+          }
+          seen[static_cast<std::size_t>(r)].push_back(std::move(snap));
+        }
+      });
+    }
+    while (ready.load() < kReaders) std::this_thread::yield();
+    ready.fetch_add(1);  // release the readers, then advance at once
+    (void)session.advance(arrivals.points, kExpire);
+    for (auto& t : readers) t.join();
+
+    EXPECT_EQ(wrong.load(), 0u) << what;
+    const index::NeighborIndex* first = nullptr;
+    for (const auto& mine : seen) {
+      for (const auto& snap : mine) {
+        if (snap->size() != dataset.size()) continue;
+        if (first == nullptr) first = &snap->index();
+        EXPECT_EQ(&snap->index(), first) << what;
+      }
+    }
+    if (telemetry::compiled_in()) {
+      // One first build; any other build is the advance() replacing an
+      // index a snapshot aliases (or one that cannot absorb inserts).
+      const auto m = telemetry::snapshot();
+      EXPECT_EQ(m.counter(telemetry::Counter::kIndexBuilds) -
+                    m.counter(telemetry::Counter::kIndexRebuildFallbacks),
+                1u)
+          << what;
+      telemetry::disarm_all();
+      telemetry::reset();
+    }
+    EXPECT_TRUE(session.validate(ValidationLevel::kDeep).ok) << what;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -285,6 +285,27 @@ TEST_F(TelemetryArmed, HistogramSemanticsAndQuantiles) {
                    telemetry::histogram_bucket_bound_seconds(1));
 }
 
+TEST_F(TelemetryArmed, BatchCallsBuildNoIndexUntilTheFirstSnapshot) {
+  // run, a min_pts rerun and a sweep walk the ε-cells: the index-build
+  // counter stays 0 on every backend; the first snapshot builds once.
+  const auto dataset = data::taxi_gps(400, 42);
+  for (const index::IndexKind kind : index::kAllIndexKinds) {
+    telemetry::reset();
+    Clusterer session(dataset.points, Options().with_backend(kind));
+    (void)session.run(0.3f, 8);
+    (void)session.run(0.3f, 16);
+    (void)session.sweep(std::vector<float>{0.25f, 0.3f, 0.35f}, 8);
+    EXPECT_EQ(telemetry::snapshot().counter(telemetry::Counter::kIndexBuilds),
+              0u)
+        << index::to_string(kind);
+    (void)session.snapshot();
+    (void)session.snapshot();
+    EXPECT_EQ(telemetry::snapshot().counter(telemetry::Counter::kIndexBuilds),
+              1u)
+        << index::to_string(kind);
+  }
+}
+
 TEST_F(TelemetryArmed, EveryFullRecountIsOnePhase1Launch) {
   // run at a new ε and sweep's shared pass each count once; a min_pts
   // rerun reuses the cached counts and launches nothing.
